@@ -4,7 +4,7 @@
 //! — the paper's policies trade *reads*, not CPU.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use ir_storage::{BufferManager, DiskSim, Page, PolicyKind};
+use ir_storage::{BufferManager, DiskSim, Page, PolicyKind, QueryBuffer};
 use ir_types::{PageId, Posting, TermId};
 
 fn store(n_terms: u32, pages_per_term: u32) -> DiskSim {

@@ -27,7 +27,7 @@ use crate::setup::{pick_representatives, profile_queries, TestBed};
 use ir_core::eval::{evaluate, EvalOptions};
 use ir_core::{Algorithm, Query, RefinementKind};
 use ir_engine::AdaptiveStats;
-use ir_storage::{BufferManager, PolicyKind};
+use ir_storage::{BufferManager, PolicyKind, QueryBuffer};
 use ir_types::{PageId, TermId};
 use serde::Serialize;
 use std::fmt::Write as _;

@@ -12,7 +12,7 @@
 //!   `S_max` changed** since the previous round;
 //! * ties in `d_t` break toward higher `idf_t`.
 
-use super::scan::{scan_submitted, scan_term};
+use super::scan::{scan_term, submit_scan, SubmittedScan};
 use super::EvalOptions;
 use crate::accumulator::Accumulators;
 use crate::query::Query;
@@ -20,19 +20,39 @@ use crate::rank;
 use crate::stats::{EvalStats, QueryResult, TermTraceRow};
 use ir_index::InvertedIndex;
 use ir_observe::SpanKind;
-use ir_storage::QueryBuffer;
-use ir_types::{BatchHandle, IrResult, ListOrdering, PageId, ReadPlan, TermId};
+use ir_storage::{FetchOutcome, QueryBuffer};
+use ir_types::{IrResult, ListOrdering, PageId, ReadPlan, TermId};
 
 /// Runs BAF.
+///
+/// One loop over Fig. 2's rounds with a one-slot pending submission:
+/// each round selects a term, **submits** its first read plan, and
+/// completes a pending scan. Without overlap (`overlap_io` off, or a
+/// buffer whose [`overlap_depth`](QueryBuffer::overlap_depth) is 1)
+/// the scan completed is the one just submitted — the paper's loop,
+/// event-identical to a blocking fetch. With overlap the scan
+/// completed is the *previous* round's: this round's threshold
+/// refresh and selection ran while its transfers were in flight, so
+/// against a queue-depth-`d` store the virtual clock charges each round
+/// only the residual wait. Two deliberate consequences of overlap:
+///
+/// * an in-flight page counts toward `b_t` (the buffer's resident
+///   counts include pages a submission has committed to load), so
+///   selection credits the pending term's pages exactly as §3.2.2
+///   credits resident ones;
+/// * a submitted term's `(f_ins, f_add)` freeze at submit time — the
+///   plan was sized against them. The scan therefore applies
+///   thresholds one completion staler than the sequential loop's —
+///   always *lower*, since `S_max` only grows, so it filters less
+///   aggressively and never drops an entry the sequential loop would
+///   have kept.
 pub fn evaluate_baf<B: QueryBuffer>(
     index: &InvertedIndex,
     buffer: &mut B,
     query: &Query,
     options: EvalOptions,
 ) -> IrResult<QueryResult> {
-    if options.overlap_io && buffer.overlap_depth() > 1 {
-        return evaluate_baf_overlap(index, buffer, query, options);
-    }
+    let overlap = options.overlap_io && buffer.overlap_depth() > 1;
     if options.announce_query {
         buffer.begin_query(&query.weights());
     }
@@ -51,395 +71,182 @@ pub fn evaluate_baf<B: QueryBuffer>(
     let mut accs = Accumulators::new();
     let mut s_max = 0.0f64;
     let mut stats = EvalStats::default();
-    let mut trace = Vec::with_capacity(n);
+    let mut trace: Vec<TermTraceRow> = Vec::with_capacity(n);
 
     let mut qspan = ir_observe::tracer().span(SpanKind::Query, "baf");
     qspan.attr("terms", n as i64);
+    if overlap {
+        qspan.attr("overlap_depth", buffer.overlap_depth() as i64);
+    }
 
     // Round-reused scratch for the live candidate set, so the selection
     // loop allocates nothing after the first round.
     let mut live: Vec<usize> = Vec::with_capacity(n);
     let mut live_terms: Vec<TermId> = Vec::with_capacity(n);
+    // The one-slot pending submission: (term index, trace row, scan).
+    let mut pending: Option<(usize, usize, SubmittedScan)> = None;
 
-    for round in 0..n {
-        // Step 3a-i/ii: refresh (f_add, p_t) only if S_max moved.
-        if s_max != cache_valid_for {
-            for (i, t) in terms.iter().enumerate() {
-                if done[i] {
-                    continue;
-                }
-                let f_add = options.params.f_add(s_max, t.query_freq, t.idf);
-                f_add_cache[i] = f_add;
-                pt_cache[i] = index.conversion().pages_to_process(t.term, f_add)?;
-                stats.threshold_recomputes += 1;
-            }
-            cache_valid_for = s_max;
-        }
-        // Step 3a-iii/iv: live b_t per unmarked term; pick min d_t.
-        // The whole round — selection plus the chosen term's scan —
-        // reports as one `term-select` span under the query.
-        // One batched `b_t` inquiry per round: against a sharded pool a
-        // per-term `resident_pages` call locks every shard, so a round
-        // over T candidates took T·P locks; `resident_pages_many` takes
-        // one pass (P locks) for the whole candidate set. Each term
-        // still counts as one inquiry, preserving the paper's
-        // T(T+1)/2 accounting.
-        let mut sel_span = qspan.child(SpanKind::TermSelect, format!("round:{round}"));
-        live.clear();
-        live_terms.clear();
-        for (i, t) in terms.iter().enumerate() {
-            if !done[i] {
-                live.push(i);
-                live_terms.push(t.term);
-            }
-        }
-        let b_ts = buffer.resident_pages_many(&live_terms);
-        stats.bt_inquiries += live.len() as u64;
-        let mut best: Option<(usize, u32)> = None;
-        for (k, &i) in live.iter().enumerate() {
-            let t = &terms[i];
-            let d_t = pt_cache[i].saturating_sub(b_ts[k]);
-            let better = match best {
-                None => true,
-                Some((j, best_d)) => {
-                    d_t < best_d
-                        || (d_t == best_d
-                            && (t.idf > terms[j].idf
-                                || (t.idf == terms[j].idf && t.term < terms[j].term)))
-                }
-            };
-            if better {
-                best = Some((i, d_t));
-            }
-        }
-        let (i, est_reads) = best.expect("an unmarked term exists in every round");
-        done[i] = true;
-        let t = &terms[i];
-        sel_span.attr("term", i64::from(t.term.0));
-        sel_span.attr("est_reads", i64::from(est_reads));
-
-        // Step 3b: fresh thresholds (f_add equals the cached value — the
-        // cache was refreshed against the current S_max above).
-        let f_ins = options.params.f_ins(s_max, t.query_freq, t.idf);
-        let f_add = f_add_cache[i];
-        debug_assert_eq!(f_add, options.params.f_add(s_max, t.query_freq, t.idf));
-
-        let mut row = TermTraceRow {
-            term: t.term,
-            idf: t.idf,
-            query_freq: t.query_freq,
-            list_pages: t.n_pages,
-            s_max_before: s_max,
-            f_ins,
-            f_add,
-            pages_processed: 0,
-            pages_read: 0,
-            est_reads,
-        };
-        // Step 3c: f_max skip.
-        if f64::from(t.f_max) <= f_add {
-            stats.terms_skipped += 1;
-            if options.baf_force_first_page && t.n_pages > 0 {
-                // §3.2.2 safety fix: touch the first page anyway so a
-                // newly added term is never silently ignored. A
-                // one-entry plan keeps even this touch on the batch
-                // path (and hints the page with w_{q,t}).
-                let plan = ReadPlan::single_hinted(PageId::new(t.term, 0), t.weight());
-                let fetched = buffer.fetch_batch(&plan)?;
-                let (_, how) = fetched
-                    .into_iter()
-                    .next()
-                    .expect("a one-entry plan yields one result");
-                stats.batches_issued += 1;
-                row.pages_processed = 1;
-                row.pages_read = u32::from(how == ir_storage::FetchOutcome::Miss);
-                stats.pages_processed += 1;
-                stats.disk_reads += u64::from(row.pages_read);
-                stats.buffer_hits += u64::from(how != ir_storage::FetchOutcome::Miss);
-                stats.borrows += u64::from(how == ir_storage::FetchOutcome::Borrowed);
-            }
-            trace.push(row);
-            continue;
-        }
-        // The cached `p_t` (refreshed against the current S_max above)
-        // is exactly the page count a threshold-f_add scan processes —
-        // it sizes both the d_t estimate and the term's read plan.
-        let out = scan_term(
-            buffer,
-            &mut accs,
-            &mut s_max,
-            t,
-            f_ins,
-            f_add,
-            early_stop,
-            pt_cache[i],
-            Some(&sel_span),
-        )?;
-        stats.batches_issued += 1;
-        stats.terms_scanned += 1;
-        stats.pages_processed += u64::from(out.pages_processed);
-        stats.disk_reads += u64::from(out.pages_read);
-        stats.buffer_hits += u64::from(out.pages_processed - out.pages_read);
-        stats.borrows += u64::from(out.pages_borrowed);
-        stats.entries_processed += out.entries;
-        // The estimator's quality, measured: what d_t promised vs what
-        // the scan actually pulled from disk.
-        stats.baf_estimated_reads += u64::from(est_reads);
-        stats.baf_estimate_abs_error += u64::from(est_reads.abs_diff(out.pages_read));
-        row.pages_processed = out.pages_processed;
-        row.pages_read = out.pages_read;
-        trace.push(row);
-    }
-
-    let hits = rank::top_n(&accs, index.doc_stats(), options.top_n)?;
-    stats.peak_accumulators = accs.peak();
-    stats.final_accumulators = accs.len();
-    qspan.attr("disk_reads", stats.disk_reads as i64);
-    qspan.attr("est_reads", stats.baf_estimated_reads as i64);
-    qspan.attr("est_abs_error", stats.baf_estimate_abs_error as i64);
-    qspan.attr("candidates", stats.peak_accumulators as i64);
-    Ok(QueryResult { hits, stats, trace })
-}
-
-/// One term whose read plan has been submitted but not yet completed.
-/// The thresholds are frozen at submit time: the plan was sized against
-/// them, so the scan must apply the same pair — a fresher `f_add` could
-/// terminate before (or after) the plan's last page.
-struct InFlightScan {
-    i: usize,
-    handle: BatchHandle,
-    f_ins: f64,
-    f_add: f64,
-    est_reads: u32,
-    row_idx: usize,
-}
-
-/// Completes an in-flight term and folds its scan into the round state.
-#[allow(clippy::too_many_arguments)]
-fn finish_in_flight<B: QueryBuffer>(
-    buffer: &mut B,
-    p: InFlightScan,
-    terms: &[crate::query::QueryTerm],
-    accs: &mut Accumulators,
-    s_max: &mut f64,
-    early_stop: bool,
-    stats: &mut EvalStats,
-    trace: &mut [TermTraceRow],
-    parent: &ir_observe::Span,
-) -> IrResult<()> {
-    let t = &terms[p.i];
-    let out = scan_submitted(
-        buffer,
-        p.handle,
-        accs,
-        s_max,
-        t,
-        p.f_ins,
-        p.f_add,
-        early_stop,
-        Some(parent),
-    )?;
-    stats.batches_issued += 1;
-    stats.terms_scanned += 1;
-    stats.pages_processed += u64::from(out.pages_processed);
-    stats.disk_reads += u64::from(out.pages_read);
-    stats.buffer_hits += u64::from(out.pages_processed - out.pages_read);
-    stats.borrows += u64::from(out.pages_borrowed);
-    stats.entries_processed += out.entries;
-    stats.baf_estimated_reads += u64::from(p.est_reads);
-    stats.baf_estimate_abs_error += u64::from(p.est_reads.abs_diff(out.pages_read));
-    trace[p.row_idx].pages_processed = out.pages_processed;
-    trace[p.row_idx].pages_read = out.pages_read;
-    Ok(())
-}
-
-/// BAF pipelined over the split-phase protocol: each round **submits**
-/// the chosen term's read plan, then — while those transfers are in
-/// flight — runs the *next* round's threshold refresh and term
-/// selection, and only then completes the previous submission. Against
-/// a queue-depth-`d` store the next term's transfers shadow the current
-/// term's evaluation, so the virtual clock charges each round only the
-/// residual wait `max(0, cost − shadowed)` instead of the full cost.
-///
-/// Differences from the sequential loop, both deliberate:
-///
-/// * an in-flight page counts toward `b_t` (the buffer's resident
-///   counts include pages a submission has committed to load), so
-///   selection credits the pending term's pages exactly as §3.2.2
-///   credits resident ones;
-/// * a submitted term's `(f_ins, f_add)` freeze at submit time. The
-///   scan therefore applies thresholds one completion staler than the
-///   sequential loop's — always *lower*, since `S_max` only grows, so
-///   the overlap loop filters less aggressively and never drops an
-///   entry the sequential loop would have kept.
-fn evaluate_baf_overlap<B: QueryBuffer>(
-    index: &InvertedIndex,
-    buffer: &mut B,
-    query: &Query,
-    options: EvalOptions,
-) -> IrResult<QueryResult> {
-    if options.announce_query {
-        buffer.begin_query(&query.weights());
-    }
-    let early_stop = index.params().ordering == ListOrdering::FrequencySorted;
-
-    let terms = query.terms().to_vec();
-    let n = terms.len();
-    let mut done = vec![false; n];
-    let mut f_add_cache = vec![0.0f64; n];
-    let mut pt_cache = vec![0u32; n];
-    let mut cache_valid_for = f64::NEG_INFINITY;
-
-    let mut accs = Accumulators::new();
-    let mut s_max = 0.0f64;
-    let mut stats = EvalStats::default();
-    let mut trace = Vec::with_capacity(n);
-
-    let mut qspan = ir_observe::tracer().span(SpanKind::Query, "baf-overlap");
-    qspan.attr("terms", n as i64);
-    qspan.attr("overlap_depth", buffer.overlap_depth() as i64);
-
-    let mut live: Vec<usize> = Vec::with_capacity(n);
-    let mut live_terms: Vec<TermId> = Vec::with_capacity(n);
-    let mut pending: Option<InFlightScan> = None;
-
-    for round in 0..n {
-        // Threshold refresh and selection are identical to the
-        // sequential loop — they just run in the shadow of the pending
-        // term's transfers, against the S_max as of the last
-        // *completed* term.
-        if s_max != cache_valid_for {
-            for (i, t) in terms.iter().enumerate() {
-                if done[i] {
-                    continue;
-                }
-                let f_add = options.params.f_add(s_max, t.query_freq, t.idf);
-                f_add_cache[i] = f_add;
-                pt_cache[i] = index.conversion().pages_to_process(t.term, f_add)?;
-                stats.threshold_recomputes += 1;
-            }
-            cache_valid_for = s_max;
-        }
-        let mut sel_span = qspan.child(SpanKind::TermSelect, format!("round:{round}"));
-        live.clear();
-        live_terms.clear();
-        for (i, t) in terms.iter().enumerate() {
-            if !done[i] {
-                live.push(i);
-                live_terms.push(t.term);
-            }
-        }
-        let b_ts = buffer.resident_pages_many(&live_terms);
-        stats.bt_inquiries += live.len() as u64;
-        let mut best: Option<(usize, u32)> = None;
-        for (k, &i) in live.iter().enumerate() {
-            let t = &terms[i];
-            let d_t = pt_cache[i].saturating_sub(b_ts[k]);
-            let better = match best {
-                None => true,
-                Some((j, best_d)) => {
-                    d_t < best_d
-                        || (d_t == best_d
-                            && (t.idf > terms[j].idf
-                                || (t.idf == terms[j].idf && t.term < terms[j].term)))
-                }
-            };
-            if better {
-                best = Some((i, d_t));
-            }
-        }
-        let (i, est_reads) = best.expect("an unmarked term exists in every round");
-        done[i] = true;
-        let t = &terms[i];
-        sel_span.attr("term", i64::from(t.term.0));
-        sel_span.attr("est_reads", i64::from(est_reads));
-
-        let f_ins = options.params.f_ins(s_max, t.query_freq, t.idf);
-        let f_add = f_add_cache[i];
-        debug_assert_eq!(f_add, options.params.f_add(s_max, t.query_freq, t.idf));
-
-        let mut row = TermTraceRow {
-            term: t.term,
-            idf: t.idf,
-            query_freq: t.query_freq,
-            list_pages: t.n_pages,
-            s_max_before: s_max,
-            f_ins,
-            f_add,
-            pages_processed: 0,
-            pages_read: 0,
-            est_reads,
-        };
-        if f64::from(t.f_max) <= f_add {
-            // The f_max skip never submits, so there is nothing to
-            // overlap; the §3.2.2 safety touch stays a blocking
-            // one-entry batch exactly as in the sequential loop.
-            stats.terms_skipped += 1;
-            if options.baf_force_first_page && t.n_pages > 0 {
-                let plan = ReadPlan::single_hinted(PageId::new(t.term, 0), t.weight());
-                let fetched = match buffer.fetch_batch(&plan) {
-                    Ok(f) => f,
-                    Err(e) => {
-                        if let Some(p) = pending.take() {
-                            buffer.cancel_batch(p.handle);
+    // Rounds 0..n select and submit; the extra round n only completes
+    // whatever an overlapping loop still has pending.
+    let rounds = (|| -> IrResult<()> {
+        for round in 0..=n {
+            // The whole round — selection plus the scan it completes —
+            // reports as one `term-select` span under the query.
+            let mut sel_span =
+                (round < n).then(|| qspan.child(SpanKind::TermSelect, format!("round:{round}")));
+            let mut submitted = None;
+            if let Some(sel_span) = sel_span.as_mut() {
+                // Step 3a-i/ii: refresh (f_add, p_t) only if S_max moved.
+                if s_max != cache_valid_for {
+                    for (i, t) in terms.iter().enumerate() {
+                        if done[i] {
+                            continue;
                         }
-                        return Err(e);
+                        let f_add = options.params.f_add(s_max, t.query_freq, t.idf);
+                        f_add_cache[i] = f_add;
+                        pt_cache[i] = index.conversion().pages_to_process(t.term, f_add)?;
+                        stats.threshold_recomputes += 1;
                     }
-                };
-                let (_, how) = fetched
-                    .into_iter()
-                    .next()
-                    .expect("a one-entry plan yields one result");
-                stats.batches_issued += 1;
-                row.pages_processed = 1;
-                row.pages_read = u32::from(how == ir_storage::FetchOutcome::Miss);
-                stats.pages_processed += 1;
-                stats.disk_reads += u64::from(row.pages_read);
-                stats.buffer_hits += u64::from(how != ir_storage::FetchOutcome::Miss);
-                stats.borrows += u64::from(how == ir_storage::FetchOutcome::Borrowed);
-            }
-            trace.push(row);
-            continue;
-        }
-        // Submit the chosen term's whole plan (overlap wants the tail
-        // transfers started now, so no chunk alignment), *then*
-        // complete the previous term: the gap between those two calls
-        // is where the new plan's transfers shadow the old plan's
-        // processing.
-        let plan = ReadPlan::for_term_pages(t.term, pt_cache[i], Some(t.weight()));
-        let handle = match buffer.submit_batch(plan) {
-            Ok(h) => h,
-            Err(e) => {
-                if let Some(p) = pending.take() {
-                    buffer.cancel_batch(p.handle);
+                    cache_valid_for = s_max;
                 }
-                return Err(e);
+                // Step 3a-iii/iv: live b_t per unmarked term; pick min d_t.
+                // One batched `b_t` inquiry per round: against a sharded
+                // pool a per-term `resident_pages` call locks every shard,
+                // so a round over T candidates took T·P locks;
+                // `resident_pages_many` takes one pass (P locks) for the
+                // whole candidate set. Each term still counts as one
+                // inquiry, preserving the paper's T(T+1)/2 accounting.
+                live.clear();
+                live_terms.clear();
+                for (i, t) in terms.iter().enumerate() {
+                    if !done[i] {
+                        live.push(i);
+                        live_terms.push(t.term);
+                    }
+                }
+                let b_ts = buffer.resident_pages_many(&live_terms);
+                stats.bt_inquiries += live.len() as u64;
+                let mut best: Option<(usize, u32)> = None;
+                for (k, &i) in live.iter().enumerate() {
+                    let t = &terms[i];
+                    let d_t = pt_cache[i].saturating_sub(b_ts[k]);
+                    let better = match best {
+                        None => true,
+                        Some((j, best_d)) => {
+                            d_t < best_d
+                                || (d_t == best_d
+                                    && (t.idf > terms[j].idf
+                                        || (t.idf == terms[j].idf && t.term < terms[j].term)))
+                        }
+                    };
+                    if better {
+                        best = Some((i, d_t));
+                    }
+                }
+                let (i, est_reads) = best.expect("an unmarked term exists in every round");
+                done[i] = true;
+                let t = &terms[i];
+                sel_span.attr("term", i64::from(t.term.0));
+                sel_span.attr("est_reads", i64::from(est_reads));
+
+                // Step 3b: fresh thresholds (f_add equals the cached value —
+                // the cache was refreshed against the current S_max above).
+                let f_ins = options.params.f_ins(s_max, t.query_freq, t.idf);
+                let f_add = f_add_cache[i];
+                debug_assert_eq!(f_add, options.params.f_add(s_max, t.query_freq, t.idf));
+
+                let mut row = TermTraceRow {
+                    term: t.term,
+                    idf: t.idf,
+                    query_freq: t.query_freq,
+                    list_pages: t.n_pages,
+                    s_max_before: s_max,
+                    f_ins,
+                    f_add,
+                    pages_processed: 0,
+                    pages_read: 0,
+                    est_reads,
+                };
+                // Step 3c: f_max skip. Nothing is submitted, so a pending
+                // scan stays pending.
+                if f64::from(t.f_max) <= f_add {
+                    stats.terms_skipped += 1;
+                    if options.baf_force_first_page && t.n_pages > 0 {
+                        // §3.2.2 safety fix: touch the first page anyway so
+                        // a newly added term is never silently ignored —
+                        // a one-entry plan on the same submit/complete path
+                        // as every other read, hinted with w_{q,t}.
+                        let plan = ReadPlan::single_hinted(PageId::new(t.term, 0), t.weight());
+                        let handle = buffer.submit_batch(plan)?;
+                        let (_, how) = buffer
+                            .complete(handle)?
+                            .pop()
+                            .expect("a one-entry plan yields one result");
+                        stats.batches_issued += 1;
+                        row.pages_processed = 1;
+                        row.pages_read = u32::from(how == FetchOutcome::Miss);
+                        stats.pages_processed += 1;
+                        stats.disk_reads += u64::from(row.pages_read);
+                        stats.buffer_hits += u64::from(how != FetchOutcome::Miss);
+                        stats.borrows += u64::from(how == FetchOutcome::Borrowed);
+                    }
+                    trace.push(row);
+                    continue;
+                }
+                // The cached `p_t` (refreshed against the current S_max
+                // above) is exactly the page count a threshold-f_add scan
+                // processes — it sizes both the d_t estimate and the
+                // term's read plans.
+                submitted = Some((i, trace.len(), submit_scan(buffer, t, pt_cache[i])?));
+                trace.push(row);
             }
-        };
-        let row_idx = trace.len();
-        trace.push(row);
-        if let Some(p) = pending.take() {
-            if let Err(e) = finish_in_flight(
-                buffer, p, &terms, &mut accs, &mut s_max, early_stop, &mut stats, &mut trace,
-                &qspan,
-            ) {
-                buffer.cancel_batch(handle);
-                return Err(e);
-            }
+            // Step 3d: complete a scan — this round's own submission, or
+            // with overlap the previous one, leaving this round's pending.
+            let ready = if overlap {
+                std::mem::replace(&mut pending, submitted)
+            } else {
+                submitted
+            };
+            let Some((i, row_idx, scan)) = ready else {
+                continue;
+            };
+            let t = &terms[i];
+            let row = &mut trace[row_idx];
+            let parent = sel_span.as_ref().unwrap_or(&qspan);
+            let out = scan_term(
+                buffer,
+                scan,
+                &mut accs,
+                &mut s_max,
+                t,
+                row.f_ins,
+                row.f_add,
+                early_stop,
+                Some(parent),
+            )?;
+            stats.batches_issued += 1;
+            stats.terms_scanned += 1;
+            stats.pages_processed += u64::from(out.pages_processed);
+            stats.disk_reads += u64::from(out.pages_read);
+            stats.buffer_hits += u64::from(out.pages_processed - out.pages_read);
+            stats.borrows += u64::from(out.pages_borrowed);
+            stats.entries_processed += out.entries;
+            // The estimator's quality, measured: what d_t promised vs what
+            // the scan actually pulled from disk.
+            stats.baf_estimated_reads += u64::from(row.est_reads);
+            stats.baf_estimate_abs_error += u64::from(row.est_reads.abs_diff(out.pages_read));
+            row.pages_processed = out.pages_processed;
+            row.pages_read = out.pages_read;
         }
-        pending = Some(InFlightScan {
-            i,
-            handle,
-            f_ins,
-            f_add,
-            est_reads,
-            row_idx,
-        });
-    }
-    if let Some(p) = pending.take() {
-        finish_in_flight(
-            buffer, p, &terms, &mut accs, &mut s_max, early_stop, &mut stats, &mut trace, &qspan,
-        )?;
+        Ok(())
+    })();
+    if let Err(e) = rounds {
+        // A failed read or submission can leave an overlapping loop's
+        // next scan submitted: release its pins and in-flight b_t.
+        if let Some((_, _, scan)) = pending.take() {
+            scan.cancel(buffer);
+        }
+        return Err(e);
     }
 
     let hits = rank::top_n(&accs, index.doc_stats(), options.top_n)?;

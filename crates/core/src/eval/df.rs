@@ -1,7 +1,7 @@
 //! Document Filtering (Fig. 1): terms in decreasing-`idf_t` order,
 //! thresholds from Eq. 5, early list termination.
 
-use super::scan::scan_term;
+use super::scan::{scan_term, submit_scan};
 use super::EvalOptions;
 use crate::accumulator::Accumulators;
 use crate::query::Query;
@@ -67,15 +67,16 @@ pub fn evaluate_df<B: QueryBuffer>(
         // exactly: the scan's batched fetch covers precisely the pages
         // the threshold-f_add scan will process.
         let plan_pages = index.conversion().pages_to_process(t.term, f_add)?;
+        let scan = submit_scan(buffer, t, plan_pages)?;
         let out = scan_term(
             buffer,
+            scan,
             &mut accs,
             &mut s_max,
             t,
             f_ins,
             f_add,
             early_stop,
-            plan_pages,
             Some(&qspan),
         )?;
         stats.batches_issued += 1;

@@ -70,15 +70,17 @@ pub struct EvalOptions {
     /// [`BufferManager::begin_query`](ir_storage::BufferManager::begin_query)
     /// themselves.
     pub announce_query: bool,
-    /// BAF only: run the split-phase overlap loop — submit the chosen
-    /// term's read plan, then run the next round's term selection while
-    /// those transfers are in flight (in-flight pages count toward
-    /// `b_t`). Takes effect only when the buffer reports an
+    /// BAF only: let the BAF loop's one-slot pending submission
+    /// complete a round late — each round submits the chosen term's
+    /// first read plan, and its scan completes only after the next
+    /// round's threshold refresh and term selection ran while those
+    /// transfers were in flight (in-flight pages count toward `b_t`).
+    /// Takes effect only when the buffer reports an
     /// [`overlap_depth`](ir_storage::QueryBuffer::overlap_depth) above
-    /// one; against a blocking store the flag is inert and evaluation
-    /// is event-identical to the standard loop. Off by default because
-    /// overlap selection sees slightly staler thresholds than the
-    /// strictly sequential loop.
+    /// one; otherwise every scan completes in the round that submitted
+    /// it and evaluation is event-identical to the paper's loop. Off by
+    /// default because overlapped selection sees slightly staler
+    /// thresholds than the strictly sequential loop.
     pub overlap_io: bool,
 }
 

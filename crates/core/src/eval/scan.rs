@@ -32,89 +32,54 @@ pub(crate) struct ScanOutcome {
     pub entries: u64,
 }
 
-/// Builds the scan's [`ReadPlan`]s for pages `[0, plan_pages)`, each
-/// entry hinted with `w_{q,t}`.
-///
-/// With no alignment (`align` is `None`) the whole prefix is one plan.
-/// When the buffer routes term chunks of `c` pages to distinct shards,
-/// the prefix is split at multiples of `c`: every sub-plan then sits
-/// inside a single routing chunk, so a sharded pool serves it on the
-/// owning shard's lock-light path with zero cross-shard batch splits.
-fn chunk_plans(term: TermId, plan_pages: u32, w_q: f64, align: Option<u32>) -> Vec<ReadPlan> {
-    match align {
-        Some(c) if c > 0 && plan_pages > c => {
-            let mut plans = Vec::with_capacity(plan_pages.div_ceil(c) as usize);
-            let mut start = 0u32;
-            while start < plan_pages {
-                let end = (start + c).min(plan_pages);
-                plans.push(
-                    (start..end)
-                        .map(|p| PlanEntry::hinted(PageId::new(term, p), w_q))
-                        .collect(),
-                );
-                start = end;
-            }
-            plans
-        }
-        _ => vec![ReadPlan::for_term_pages(term, plan_pages, Some(w_q))],
+/// A term scan whose first read plan is submitted but not yet
+/// completed.
+pub(crate) struct SubmittedScan {
+    handle: BatchHandle,
+    /// Pages the whole scan covers, `[0, plan_pages)`.
+    plan_pages: u32,
+    /// Pages per plan: the buffer's routing chunk, or the whole prefix.
+    chunk: u32,
+}
+
+impl SubmittedScan {
+    /// Abandons the scan, releasing what its submission holds.
+    pub(crate) fn cancel<B: QueryBuffer>(self, buffer: &mut B) {
+        buffer.cancel_batch(self.handle);
     }
 }
 
-/// The posting-processing core shared by every scan entry point: folds
-/// one completed batch into `out` / `accs` / `s_max`. Returns `true`
-/// when the frequency-ordered early stop fired and the scan is done.
-#[allow(clippy::too_many_arguments)]
-fn process_fetched(
-    fetched: &[(Page, FetchOutcome)],
-    last_chunk: bool,
-    out: &mut ScanOutcome,
-    accs: &mut Accumulators,
-    s_max: &mut f64,
+/// Pages `[start, end)` of `term`'s list, each entry hinted with
+/// `w_{q,t}`.
+fn chunk_plan(term: TermId, start: u32, end: u32, w_q: f64) -> ReadPlan {
+    (start..end)
+        .map(|p| PlanEntry::hinted(PageId::new(term, p), w_q))
+        .collect()
+}
+
+/// Submits the first read plan of `term`'s scan over pages
+/// `[0, plan_pages)`. With no [`plan_alignment`](QueryBuffer::plan_alignment)
+/// that plan is the whole prefix. When the buffer routes term chunks
+/// of `c` pages to distinct shards, the prefix is split at multiples of
+/// `c`, and [`scan_term`] submits each later chunk as it goes: every
+/// plan then sits inside a single routing chunk, so a sharded pool
+/// serves it on the owning shard's lock-light path with zero
+/// cross-shard batch splits.
+pub(crate) fn submit_scan<B: QueryBuffer>(
+    buffer: &mut B,
     term: &QueryTerm,
-    w_q: f64,
-    f_ins: f64,
-    f_add: f64,
-    early_stop: bool,
-) -> bool {
-    for (i, (page, how)) in fetched.iter().enumerate() {
-        out.pages_processed += 1;
-        match how {
-            FetchOutcome::Miss => out.pages_read += 1,
-            FetchOutcome::Borrowed => out.pages_borrowed += 1,
-            FetchOutcome::Hit => {}
-        }
-        for posting in page.postings() {
-            out.entries += 1;
-            let f = f64::from(posting.freq);
-            if f <= f_add {
-                if early_stop {
-                    // Frequency ordering: nothing further in this list
-                    // can pass the addition threshold — and the plan
-                    // was sized so this entry sits on its last page.
-                    debug_assert!(
-                        last_chunk && i + 1 == fetched.len(),
-                        "plan over-covered the scan"
-                    );
-                    return true;
-                }
-                // Doc ordering: the entry is filtered, but later ones
-                // may still pass — keep scanning (footnote 14).
-                continue;
-            }
-            let partial = f64::from(posting.freq) * term.idf * w_q;
-            if f > f_ins {
-                let v = accs.upsert(posting.doc, partial);
-                if v > *s_max {
-                    *s_max = v;
-                }
-            } else if let Some(v) = accs.add_existing(posting.doc, partial) {
-                if v > *s_max {
-                    *s_max = v;
-                }
-            }
-        }
-    }
-    false
+    plan_pages: u32,
+) -> IrResult<SubmittedScan> {
+    let chunk = match buffer.plan_alignment() {
+        Some(c) if c > 0 => c.min(plan_pages),
+        _ => plan_pages,
+    };
+    let handle = buffer.submit_batch(chunk_plan(term.term, 0, chunk, term.weight()))?;
+    Ok(SubmittedScan {
+        handle,
+        plan_pages,
+        chunk,
+    })
 }
 
 /// Scans `term`'s list in frequency order, accumulating partial
@@ -123,71 +88,93 @@ fn process_fetched(
 /// touched (step 4(c)v). When `parent` is given, the scan reports
 /// itself as a `list-read` span beneath it.
 ///
-/// The term is issued as a short sequence of [`ReadPlan`]s covering
-/// pages `[0, plan_pages)` in order — one plan when the buffer reports
-/// no [`plan_alignment`](QueryBuffer::plan_alignment), else one per
-/// routing chunk — each run through the split-phase
-/// [`submit_batch`](QueryBuffer::submit_batch) /
-/// [`complete`](QueryBuffer::complete) protocol back to back, which a
-/// blocking buffer serves identically to the old `fetch_batch` call.
-/// Every entry is hinted with `w_{q,t}` so hint-aware policies can
-/// value the page at admission. The caller sizes the plan from the
-/// conversion table (§3.2.2), which is exact: under frequency ordering
-/// the page holding the first entry with `f ≤ f_add` is the last
-/// plan's last page; under doc ordering the plans cover the full list.
-/// Batching therefore fetches exactly the pages the old page-at-a-time
-/// loop did, in the same order.
+/// `scan` carries the first plan, already submitted by
+/// [`submit_scan`] — back to back by DF, or a round earlier by BAF
+/// when it overlaps I/O. Each plan is completed through
+/// [`complete_into`](QueryBuffer::complete_into) and processed before
+/// the next chunk is submitted. Every entry is hinted with `w_{q,t}`
+/// so hint-aware policies can value the page at admission. The caller
+/// sizes the scan from the conversion table (§3.2.2), which is exact:
+/// under frequency ordering the page holding the first entry with
+/// `f ≤ f_add` is the last plan's last page; under doc ordering the
+/// plans cover the full list. The scan therefore fetches exactly the
+/// pages a page-at-a-time loop would, in the same order.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_term<B: QueryBuffer>(
     buffer: &mut B,
+    scan: SubmittedScan,
     accs: &mut Accumulators,
     s_max: &mut f64,
     term: &QueryTerm,
     f_ins: f64,
     f_add: f64,
     early_stop: bool,
-    plan_pages: u32,
     parent: Option<&Span>,
 ) -> IrResult<ScanOutcome> {
     let mut span = parent.map(|p| p.child(SpanKind::ListRead, format!("term:{}", term.term.0)));
     let mut out = ScanOutcome::default();
     let w_q = term.weight();
-    let plans = chunk_plans(term.term, plan_pages, w_q, buffer.plan_alignment());
-    let last = plans.len() - 1;
     // Per-call outcome attribution: each plan entry reports whether it
     // was served from this caller's frames, a sibling's, or disk — so
     // the counts stay per-query even when other sessions drive the
     // same pool concurrently (pool-wide miss deltas don't).
     let mut fetched = FETCH_SCRATCH.with(|c| std::mem::take(&mut *c.borrow_mut()));
     let mut failed = None;
-    for (ci, plan) in plans.into_iter().enumerate() {
-        // Submission also hands a latency-modeling store the plan's
-        // tail, letting it start those transfers before the demand
-        // reads arrive; a no-op for every in-memory store, so the
-        // event stream is untouched.
-        let done = match buffer
-            .submit_batch(plan)
-            .and_then(|h| buffer.complete_into(h, &mut fetched))
-        {
-            Ok(()) => process_fetched(
-                &fetched,
-                ci == last,
-                &mut out,
-                accs,
-                s_max,
-                term,
-                w_q,
-                f_ins,
-                f_add,
-                early_stop,
-            ),
+    let mut handle = scan.handle;
+    let mut end = scan.chunk;
+    'chunks: loop {
+        let last = end >= scan.plan_pages;
+        if let Err(e) = buffer.complete_into(handle, &mut fetched) {
+            failed = Some(e);
+            break;
+        }
+        for (i, (page, how)) in fetched.iter().enumerate() {
+            out.pages_processed += 1;
+            match how {
+                FetchOutcome::Miss => out.pages_read += 1,
+                FetchOutcome::Borrowed => out.pages_borrowed += 1,
+                FetchOutcome::Hit => {}
+            }
+            for posting in page.postings() {
+                out.entries += 1;
+                let f = f64::from(posting.freq);
+                if f <= f_add {
+                    if early_stop {
+                        // Frequency ordering: nothing further in this
+                        // list can pass the addition threshold — and
+                        // the plans were sized so this entry sits on
+                        // the last page of the last one.
+                        debug_assert!(last && i + 1 == fetched.len(), "plan over-covered the scan");
+                        break 'chunks;
+                    }
+                    // Doc ordering: the entry is filtered, but later
+                    // ones may still pass — keep scanning (footnote 14).
+                    continue;
+                }
+                let partial = f64::from(posting.freq) * term.idf * w_q;
+                if f > f_ins {
+                    let v = accs.upsert(posting.doc, partial);
+                    if v > *s_max {
+                        *s_max = v;
+                    }
+                } else if let Some(v) = accs.add_existing(posting.doc, partial) {
+                    if v > *s_max {
+                        *s_max = v;
+                    }
+                }
+            }
+        }
+        if last {
+            break;
+        }
+        let start = end;
+        end = (start + scan.chunk).min(scan.plan_pages);
+        match buffer.submit_batch(chunk_plan(term.term, start, end, w_q)) {
+            Ok(next) => handle = next,
             Err(e) => {
                 failed = Some(e);
-                true
+                break;
             }
-        };
-        if done {
-            break;
         }
     }
     fetched.clear();
@@ -203,50 +190,30 @@ pub(crate) fn scan_term<B: QueryBuffer>(
     Ok(out)
 }
 
-/// [`scan_term`] for a plan the caller already submitted: completes
-/// `handle` and processes its pages as a single chunk. This is the
-/// overlap-mode entry point — the BAF loop submits the next term's
-/// plan before completing the current one, so by the time this runs
-/// the transfers have been shadowing evaluation.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_submitted<B: QueryBuffer>(
-    buffer: &mut B,
-    handle: BatchHandle,
-    accs: &mut Accumulators,
-    s_max: &mut f64,
-    term: &QueryTerm,
-    f_ins: f64,
-    f_add: f64,
-    early_stop: bool,
-    parent: Option<&Span>,
-) -> IrResult<ScanOutcome> {
-    let mut span = parent.map(|p| p.child(SpanKind::ListRead, format!("term:{}", term.term.0)));
-    let mut out = ScanOutcome::default();
-    let w_q = term.weight();
-    let mut fetched = FETCH_SCRATCH.with(|c| std::mem::take(&mut *c.borrow_mut()));
-    if let Err(e) = buffer.complete_into(handle, &mut fetched) {
-        fetched.clear();
-        FETCH_SCRATCH.with(|c| *c.borrow_mut() = fetched);
-        return Err(e);
-    }
-    process_fetched(
-        &fetched, true, &mut out, accs, s_max, term, w_q, f_ins, f_add, early_stop,
-    );
-    fetched.clear();
-    FETCH_SCRATCH.with(|c| *c.borrow_mut() = fetched);
-    if let Some(s) = span.as_mut() {
-        s.attr("pages_processed", i64::from(out.pages_processed));
-        s.attr("pages_read", i64::from(out.pages_read));
-        s.attr("entries", out.entries as i64);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ir_storage::{BufferManager, DiskSim, Page, PolicyKind};
     use ir_types::{DocId, PageId, Posting, TermId};
+
+    /// Submits and scans back to back, as DF does.
+    #[allow(clippy::too_many_arguments)]
+    fn scan<B: QueryBuffer>(
+        buffer: &mut B,
+        accs: &mut Accumulators,
+        s_max: &mut f64,
+        term: &QueryTerm,
+        f_ins: f64,
+        f_add: f64,
+        early_stop: bool,
+        plan_pages: u32,
+        parent: Option<&Span>,
+    ) -> IrResult<ScanOutcome> {
+        let submitted = submit_scan(buffer, term, plan_pages)?;
+        scan_term(
+            buffer, submitted, accs, s_max, term, f_ins, f_add, early_stop, parent,
+        )
+    }
 
     /// One term, postings (doc, freq) frequency-sorted, `page_size`
     /// entries per page, idf 2.0.
@@ -278,7 +245,7 @@ mod tests {
         let (mut buf, term) = setup(&[(0, 5), (1, 3), (2, 1), (3, 1)], 2);
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
-        let out = scan_term(
+        let out = scan(
             &mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 2, None,
         )
         .unwrap();
@@ -297,7 +264,7 @@ mod tests {
         let mut s_max = 0.0;
         // f_add = 2: f=1 fails; the failing entry is on page 1, so both
         // its page and page 0 are processed, and entries = 3 (5, 3, 1).
-        let out = scan_term(
+        let out = scan(
             &mut buf, &mut accs, &mut s_max, &term, 0.0, 2.0, true, 2, None,
         )
         .unwrap();
@@ -311,7 +278,7 @@ mod tests {
         let (mut buf, term) = setup(&[(0, 5), (1, 1), (2, 1), (3, 1)], 2);
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
-        let out = scan_term(
+        let out = scan(
             &mut buf, &mut accs, &mut s_max, &term, 0.0, 1.0, true, 1, None,
         )
         .unwrap();
@@ -328,7 +295,7 @@ mod tests {
         let mut s_max = 0.0;
         // f_ins = 4: only f=5 creates; f=3 (doc 1) is filtered out
         // entirely; f=2 (doc 2) passes f_add and doc 2 exists → added.
-        let out = scan_term(
+        let out = scan(
             &mut buf, &mut accs, &mut s_max, &term, 4.0, 1.0, true, 1, None,
         )
         .unwrap();
@@ -346,13 +313,13 @@ mod tests {
         let (mut buf, term) = setup(&[(0, 5), (1, 3), (2, 1), (3, 1)], 2);
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
-        scan_term(
+        scan(
             &mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 2, None,
         )
         .unwrap();
         let mut accs2 = Accumulators::new();
         let mut s2 = 0.0;
-        let out = scan_term(
+        let out = scan(
             &mut buf, &mut accs2, &mut s2, &term, 0.0, 0.0, true, 2, None,
         )
         .unwrap();
@@ -365,7 +332,7 @@ mod tests {
         let (mut buf, term) = setup(&[(0, 5), (1, 3), (2, 1), (3, 1)], 2);
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
-        scan_term(
+        scan(
             &mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 2, None,
         )
         .unwrap();
@@ -380,23 +347,51 @@ mod tests {
     }
 
     #[test]
-    fn plans_split_at_routing_chunk_boundaries() {
-        let plans = chunk_plans(TermId(7), 10, 1.5, Some(4));
-        let sizes: Vec<usize> = plans.iter().map(ReadPlan::len).collect();
-        assert_eq!(sizes, [4, 4, 2]);
-        // Together the chunks are exactly the prefix plan, in order.
-        let joined: Vec<_> = plans
-            .iter()
-            .flat_map(|p| p.entries().iter().copied())
-            .collect();
-        let whole = ReadPlan::for_term_pages(TermId(7), 10, Some(1.5));
-        assert_eq!(joined, whole.entries());
-    }
+    fn scans_submit_one_plan_per_routing_chunk() {
+        use ir_storage::ShardedBufferPool;
+        use std::sync::Arc;
 
-    #[test]
-    fn short_or_unaligned_scans_stay_one_plan() {
-        assert_eq!(chunk_plans(TermId(0), 4, 1.0, Some(4)).len(), 1);
-        assert_eq!(chunk_plans(TermId(0), 10, 1.0, None).len(), 1);
+        // 10 pages, 4-page routing chunks: plans of 4, 4 and 2 pages,
+        // together exactly the prefix, in order. A scan no longer than
+        // a chunk stays one plan.
+        let postings: Vec<Posting> = (0..10).map(|d| Posting::new(d, 20 - d)).collect();
+        let pages: Vec<Page> = postings
+            .chunks(1)
+            .enumerate()
+            .map(|(i, c)| Page::new(PageId::new(TermId(0), i as u32), c.to_vec().into(), 2.0))
+            .collect();
+        let disk = Arc::new(DiskSim::new(vec![pages]));
+        let mut pool =
+            ShardedBufferPool::with_chunk_pages(disk, 32, PolicyKind::Lru, 4, 4).unwrap();
+        let term = QueryTerm {
+            term: TermId(0),
+            query_freq: 1,
+            idf: 2.0,
+            f_max: 20,
+            n_pages: 10,
+        };
+        let batches = |pool: &ShardedBufferPool<DiskSim>| {
+            let dump = pool.merged_dump();
+            let h = dump
+                .histograms
+                .iter()
+                .find(|h| h.name == "buffer.batch_pages")
+                .unwrap();
+            (dump.counter("buffer.batches").unwrap(), h.sum)
+        };
+        let mut accs = Accumulators::new();
+        let mut s_max = 0.0;
+        let out = scan(
+            &mut pool, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 10, None,
+        )
+        .unwrap();
+        assert_eq!(out.pages_processed, 10);
+        assert_eq!(batches(&pool), (3, 10), "plans of 4, 4 and 2 pages");
+        scan(
+            &mut pool, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 4, None,
+        )
+        .unwrap();
+        assert_eq!(batches(&pool), (4, 14), "a one-chunk scan is one plan");
     }
 
     #[test]
@@ -425,7 +420,7 @@ mod tests {
         };
         let mut accs = Accumulators::new();
         let mut s_max = 0.0;
-        let out = scan_term(
+        let out = scan(
             &mut pool, &mut accs, &mut s_max, &term, 0.0, 0.0, true, n_pages, None,
         )
         .unwrap();
@@ -442,7 +437,7 @@ mod tests {
         let (mut buf, term) = setup(&[(0, 5), (1, 3)], 4);
         let mut accs = Accumulators::new();
         let mut s_max = 1000.0;
-        scan_term(
+        scan(
             &mut buf, &mut accs, &mut s_max, &term, 0.0, 0.0, true, 1, None,
         )
         .unwrap();

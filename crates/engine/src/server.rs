@@ -44,7 +44,7 @@ use ir_storage::{
     FetchPolicy, Page, PageStore, PartitionHandle, PartitionedBuffer, PolicyKind, QueryBuffer,
     ShardedBufferPool, SharedBufferManager, SharedPartitionedBuffer,
 };
-use ir_types::{IrError, IrResult, PageId, ReadPlan, TermId};
+use ir_types::{BatchHandle, IrError, IrResult, ReadPlan, TermId};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -327,167 +327,96 @@ enum SessionBuffer {
     Sharded(ShardedBufferPool<ServerStore>),
 }
 
+impl SessionBuffer {
+    /// The pool behind this session's view.
+    fn pool(&self) -> &dyn QueryBuffer {
+        match self {
+            SessionBuffer::Shared(p) | SessionBuffer::GlobalShared { pool: p, .. } => p,
+            SessionBuffer::Partition(h) => h,
+            SessionBuffer::Sharded(p) => p,
+        }
+    }
+
+    /// [`pool`](Self::pool), mutably.
+    fn pool_mut(&mut self) -> &mut dyn QueryBuffer {
+        match self {
+            SessionBuffer::Shared(p) | SessionBuffer::GlobalShared { pool: p, .. } => p,
+            SessionBuffer::Partition(h) => h,
+            SessionBuffer::Sharded(p) => p,
+        }
+    }
+}
+
+/// Every call forwards to the session's pool, so a plan submission
+/// or completion is one critical section on that pool, and the
+/// sharded pool's batched `b_t` sweep stays one pass. Only the query
+/// announcement differs: the global-history layout merges it with the
+/// other sessions' current weights first.
 impl QueryBuffer for SessionBuffer {
-    fn fetch(&mut self, id: PageId) -> IrResult<Page> {
-        match self {
-            SessionBuffer::Shared(p) => p.fetch(id),
-            SessionBuffer::GlobalShared { pool, .. } => pool.fetch(id),
-            SessionBuffer::Partition(h) => h.fetch(id),
-            SessionBuffer::Sharded(p) => QueryBuffer::fetch(p, id),
-        }
-    }
-
-    fn fetch_traced(&mut self, id: PageId) -> IrResult<(Page, FetchOutcome)> {
-        match self {
-            SessionBuffer::Shared(p) => p.fetch_traced(id),
-            SessionBuffer::GlobalShared { pool, .. } => pool.fetch_traced(id),
-            SessionBuffer::Partition(h) => h.fetch_traced(id),
-            SessionBuffer::Sharded(p) => QueryBuffer::fetch_traced(p, id),
-        }
-    }
-
-    fn fetch_batch(&mut self, plan: &ReadPlan) -> IrResult<Vec<(Page, FetchOutcome)>> {
-        // Forwarded so a session's whole plan runs under one pool lock
-        // acquisition instead of one per page.
-        match self {
-            SessionBuffer::Shared(p) => p.fetch_batch(plan),
-            SessionBuffer::GlobalShared { pool, .. } => pool.fetch_batch(plan),
-            SessionBuffer::Partition(h) => h.fetch_batch(plan),
-            SessionBuffer::Sharded(p) => QueryBuffer::fetch_batch(p, plan),
-        }
-    }
-
-    fn fetch_batch_into(
-        &mut self,
-        plan: &ReadPlan,
-        out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        // Forwarded so the eval loop's scratch vector reaches the pool
-        // instead of bouncing through a fresh allocation per scan.
-        match self {
-            SessionBuffer::Shared(p) => p.fetch_batch_into(plan, out),
-            SessionBuffer::GlobalShared { pool, .. } => pool.fetch_batch_into(plan, out),
-            SessionBuffer::Partition(h) => h.fetch_batch_into(plan, out),
-            SessionBuffer::Sharded(p) => QueryBuffer::fetch_batch_into(p, plan, out),
-        }
-    }
-
-    fn submit_batch(&mut self, plan: ReadPlan) -> IrResult<ir_types::BatchHandle> {
-        // Forwarded so the overlap loop's submissions reach the real
-        // pool instead of the trait's blocking default.
-        match self {
-            SessionBuffer::Shared(p) => p.submit_batch(plan),
-            SessionBuffer::GlobalShared { pool, .. } => pool.submit_batch(plan),
-            SessionBuffer::Partition(h) => h.submit_batch(plan),
-            SessionBuffer::Sharded(p) => QueryBuffer::submit_batch(p, plan),
-        }
+    fn submit_batch(&mut self, plan: ReadPlan) -> IrResult<BatchHandle> {
+        self.pool_mut().submit_batch(plan)
     }
 
     fn complete_into(
         &mut self,
-        handle: ir_types::BatchHandle,
+        handle: BatchHandle,
         out: &mut Vec<(Page, FetchOutcome)>,
     ) -> IrResult<()> {
-        match self {
-            SessionBuffer::Shared(p) => p.complete_into(handle, out),
-            SessionBuffer::GlobalShared { pool, .. } => pool.complete_into(handle, out),
-            SessionBuffer::Partition(h) => h.complete_into(handle, out),
-            SessionBuffer::Sharded(p) => QueryBuffer::complete_into(p, handle, out),
-        }
+        self.pool_mut().complete_into(handle, out)
     }
 
-    fn cancel_batch(&mut self, handle: ir_types::BatchHandle) {
-        match self {
-            SessionBuffer::Shared(p) => p.cancel_batch(handle),
-            SessionBuffer::GlobalShared { pool, .. } => pool.cancel_batch(handle),
-            SessionBuffer::Partition(h) => h.cancel_batch(handle),
-            SessionBuffer::Sharded(p) => QueryBuffer::cancel_batch(p, handle),
-        }
+    fn cancel_batch(&mut self, handle: BatchHandle) {
+        self.pool_mut().cancel_batch(handle);
     }
 
     fn overlap_depth(&self) -> usize {
-        match self {
-            SessionBuffer::Shared(p) => p.overlap_depth(),
-            SessionBuffer::GlobalShared { pool, .. } => pool.overlap_depth(),
-            SessionBuffer::Partition(h) => h.overlap_depth(),
-            SessionBuffer::Sharded(p) => QueryBuffer::overlap_depth(p),
-        }
+        self.pool().overlap_depth()
     }
 
     fn plan_alignment(&self) -> Option<u32> {
-        match self {
-            SessionBuffer::Shared(p) => p.plan_alignment(),
-            SessionBuffer::GlobalShared { pool, .. } => pool.plan_alignment(),
-            SessionBuffer::Partition(h) => h.plan_alignment(),
-            SessionBuffer::Sharded(p) => QueryBuffer::plan_alignment(p),
-        }
+        self.pool().plan_alignment()
     }
 
     fn resident_pages(&self, term: TermId) -> u32 {
-        match self {
-            SessionBuffer::Shared(p) => p.resident_pages(term),
-            SessionBuffer::GlobalShared { pool, .. } => pool.resident_pages(term),
-            SessionBuffer::Partition(h) => h.resident_pages(term),
-            SessionBuffer::Sharded(p) => ShardedBufferPool::resident_pages(p, term),
-        }
+        self.pool().resident_pages(term)
     }
 
     fn resident_pages_many(&self, terms: &[TermId]) -> Vec<u32> {
-        // Forwarded so BAF's per-round candidate sweep costs one pass
-        // over the sharded pool instead of one all-shard lock per term.
-        match self {
-            SessionBuffer::Shared(p) => p.resident_pages_many(terms),
-            SessionBuffer::GlobalShared { pool, .. } => pool.resident_pages_many(terms),
-            SessionBuffer::Partition(h) => h.resident_pages_many(terms),
-            SessionBuffer::Sharded(p) => ShardedBufferPool::resident_pages_many(p, terms),
-        }
+        self.pool().resident_pages_many(terms)
     }
 
     fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
-        match self {
-            SessionBuffer::Shared(p) => p.begin_query(weights),
-            SessionBuffer::GlobalShared {
-                pool,
-                registry,
-                user,
-            } => {
-                let merged = {
-                    let mut reg = registry.lock();
-                    reg[*user] = weights.clone();
-                    let mut merged: HashMap<TermId, f64> = HashMap::new();
-                    for per_user in reg.iter() {
-                        for (&t, &w) in per_user {
-                            let e = merged.entry(t).or_insert(w);
-                            if w > *e {
-                                *e = w;
-                            }
-                        }
+        let SessionBuffer::GlobalShared {
+            pool,
+            registry,
+            user,
+        } = self
+        else {
+            return self.pool_mut().begin_query(weights);
+        };
+        let merged = {
+            let mut reg = registry.lock();
+            reg[*user] = weights.clone();
+            let mut merged: HashMap<TermId, f64> = HashMap::new();
+            for per_user in reg.iter() {
+                for (&t, &w) in per_user {
+                    let e = merged.entry(t).or_insert(w);
+                    if w > *e {
+                        *e = w;
                     }
-                    merged
-                };
-                pool.begin_query(&merged);
+                }
             }
-            SessionBuffer::Partition(h) => h.begin_query(weights),
-            SessionBuffer::Sharded(p) => ShardedBufferPool::begin_query(p, weights),
-        }
+            merged
+        };
+        pool.begin_query(&merged);
     }
 
     fn stats(&self) -> BufferStats {
-        match self {
-            SessionBuffer::Shared(p) => p.stats(),
-            SessionBuffer::GlobalShared { pool, .. } => pool.stats(),
-            SessionBuffer::Partition(h) => h.stats(),
-            SessionBuffer::Sharded(p) => ShardedBufferPool::stats(p),
-        }
+        self.pool().stats()
     }
 
     fn borrows(&self) -> u64 {
-        match self {
-            SessionBuffer::Shared(p) => p.borrows(),
-            SessionBuffer::GlobalShared { pool, .. } => pool.borrows(),
-            SessionBuffer::Partition(h) => h.borrows(),
-            SessionBuffer::Sharded(p) => ShardedBufferPool::borrows(p),
-        }
+        self.pool().borrows()
     }
 }
 

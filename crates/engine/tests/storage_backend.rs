@@ -14,8 +14,9 @@ use ir_index::{save_page_file, BuildOptions, IndexBuilder, InvertedIndex};
 use ir_storage::{
     BufferEvent, BufferManager, BufferObserver, BufferStats, FaultConfig, FaultStore, FetchPolicy,
     FileMode, FilePageStore, IoConfig, IoScheduler, LatencyModel, PageStore, PolicyKind,
+    QueryBuffer, ShardedBufferPool,
 };
-use ir_types::{ClockKind, DocId, FilterParams, IndexParams, TermId};
+use ir_types::{ClockKind, DocId, FilterParams, IndexParams, PageId, TermId};
 use proptest::{collection, proptest, ProptestConfig};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -357,4 +358,117 @@ proptest! {
         assert_eq!(trace, reference);
         assert_eq!(store.stats(), sim_stats);
     }
+}
+
+/// The store behind the evaluator error-path tests: a seeded chaos
+/// schedule (transient faults and torn pages) under a queue-depth-4
+/// scheduler, so BAF overlaps I/O and a query can fail while the next
+/// term's scan is already submitted.
+fn faulty_scheduler(
+    idx: &InvertedIndex,
+    seed: u64,
+) -> Arc<IoScheduler<FaultStore<Arc<ir_storage::DiskSim>>>> {
+    Arc::new(IoScheduler::new(
+        FaultStore::new(Arc::clone(idx.disk()), FaultConfig::chaos(seed)),
+        IoConfig {
+            queue_depth: 4,
+            model: LatencyModel {
+                seek_us: 20,
+                transfer_us: 5,
+            },
+            clock: ClockKind::Virtual,
+        },
+    ))
+}
+
+/// Runs overlapping BAF over the AddOnly workload, four passes, with no
+/// retries. After every failed query no page of its terms may stay
+/// pinned, and every workload term's `b_t` must equal its count among
+/// the resident pages: a leaked in-flight count would show up as a
+/// larger `b_t`. Returns how many queries failed.
+fn failures_leave_no_pins<B: QueryBuffer>(
+    idx: &InvertedIndex,
+    buffer: &mut B,
+    pin_count: impl Fn(&B, PageId) -> u32,
+    resident_ids: impl Fn(&B) -> Vec<PageId>,
+) -> usize {
+    let steps = workload(idx, &NAMES);
+    let all_terms: Vec<TermId> = steps.last().unwrap().iter().map(|&(t, _)| t).collect();
+    let opts = EvalOptions {
+        overlap_io: true,
+        ..options()
+    };
+    assert!(buffer.overlap_depth() > 1, "the overlap loop must run");
+    let mut failures = 0;
+    for _ in 0..4 {
+        for terms in &steps {
+            let q = Query::from_ids(idx, terms).unwrap();
+            if evaluate(Algorithm::Baf, idx, buffer, &q, opts).is_ok() {
+                continue;
+            }
+            failures += 1;
+            for &(t, _) in terms {
+                for p in 0..idx.n_pages(t).unwrap() {
+                    let id = PageId::new(t, p);
+                    assert_eq!(pin_count(buffer, id), 0, "{id:?} still pinned");
+                }
+            }
+            let resident = resident_ids(buffer);
+            for &t in &all_terms {
+                let count = resident.iter().filter(|id| id.term == t).count() as u32;
+                assert_eq!(
+                    buffer.resident_pages(t),
+                    count,
+                    "{t:?}: in-flight b_t leaked"
+                );
+            }
+        }
+    }
+    failures
+}
+
+#[test]
+fn failed_overlap_queries_release_pins_on_a_manager() {
+    let idx = index();
+    let sched = faulty_scheduler(&idx, 31);
+    let mut buffer = BufferManager::new(Arc::clone(&sched), 16, PolicyKind::Lru).unwrap();
+    buffer.set_fetch_policy(FetchPolicy::NO_RETRY);
+    let failures = failures_leave_no_pins(
+        &idx,
+        &mut buffer,
+        |bm, id| bm.pin_count(id),
+        |bm| bm.resident_ids(),
+    );
+    assert!(failures > 0, "the fault schedule must fail some query");
+    assert!(
+        sched.metrics().overlap_hits.get() > 0,
+        "no read was served from a submission"
+    );
+}
+
+#[test]
+fn failed_overlap_queries_release_pins_on_a_sharded_pool() {
+    let idx = index();
+    let sched = faulty_scheduler(&idx, 37);
+    let mut pool = ShardedBufferPool::new(Arc::clone(&sched), 32, PolicyKind::Lru, 4).unwrap();
+    pool.set_fetch_policy(FetchPolicy::NO_RETRY);
+    let failures = failures_leave_no_pins(
+        &idx,
+        &mut pool,
+        |pool, id| {
+            (0..pool.n_shards())
+                .map(|s| pool.with_shard(s, |bm| bm.pin_count(id)))
+                .sum()
+        },
+        |pool| {
+            (0..pool.n_shards())
+                .flat_map(|s| pool.with_shard(s, |bm| bm.resident_ids()))
+                .collect()
+        },
+    );
+    assert!(failures > 0, "the fault schedule must fail some query");
+    assert!(
+        sched.metrics().overlap_hits.get() > 0,
+        "no read was served from a submission"
+    );
 }

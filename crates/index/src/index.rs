@@ -196,7 +196,7 @@ impl InvertedIndex {
 #[cfg(test)]
 mod tests {
     use crate::builder::{BuildOptions, IndexBuilder};
-    use ir_storage::PolicyKind;
+    use ir_storage::{PolicyKind, QueryBuffer};
     use ir_types::IndexParams;
 
     fn index() -> super::InvertedIndex {

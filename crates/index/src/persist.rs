@@ -567,7 +567,7 @@ mod tests {
         let path = tmpfile("evaluates.idx");
         save_index(&idx, &path).unwrap();
         let loaded = load_index(&path).unwrap();
-        use ir_storage::PolicyKind;
+        use ir_storage::{PolicyKind, QueryBuffer};
         let run = |index: &InvertedIndex| {
             let mut buf = index.make_buffer(8, PolicyKind::Rap).unwrap();
             let stock = index.lexicon().lookup("stock").unwrap();

@@ -19,7 +19,7 @@
 //! report identical waits), *real* additionally sleeps the modeled
 //! wait so queue depth shows up in wall time.
 //!
-//! **Determinism contract**: with `queue_depth <= 1` the prefetch path
+//! **Determinism contract**: with `queue_depth <= 1` the staging path
 //! is a no-op and every read is forwarded to the inner store in
 //! request order, so the scheduler is invisible to the event stream;
 //! zero the model and it is invisible to the accounting too.
@@ -27,7 +27,7 @@
 use crate::disk::PageStore;
 use crate::page::Page;
 use ir_observe::{Counter, Gauge, Histogram, IO_LATENCY_US_BOUNDS};
-use ir_types::{ClockKind, CompletionToken, IrResult, PageId, ReadHandle, ReadPlan, TermId};
+use ir_types::{ClockKind, CompletionToken, IrResult, PageId, ReadHandle, TermId};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
@@ -68,7 +68,7 @@ impl LatencyModel {
 #[derive(Clone, Copy, Debug)]
 pub struct IoConfig {
     /// Number of device channels requests are spread across. Depth 1
-    /// is a strictly serial disk and disables prefetch.
+    /// is a strictly serial disk and disables staging.
     pub queue_depth: usize,
     /// The per-request pricing model.
     pub model: LatencyModel,
@@ -212,15 +212,6 @@ impl<S: PageStore> IoScheduler<S> {
         self.state.lock().now_us
     }
 
-    /// Convenience: issues the tail of `plan` (everything after the
-    /// head, which stays a demand read) to the prefetch path.
-    pub fn prefetch_plan(&self, plan: &ReadPlan) {
-        if plan.entries().len() > 1 {
-            let ids: Vec<PageId> = plan.entries()[1..].iter().map(|e| e.page).collect();
-            self.prefetch(&ids);
-        }
-    }
-
     fn classify(last: &mut Option<PageId>, id: PageId) -> bool {
         let sequential = matches!(
             *last,
@@ -300,8 +291,7 @@ impl<S: PageStore> IoScheduler<S> {
         out
     }
 
-    /// The one staging routine behind both `prefetch` (handles
-    /// discarded) and `submit` (handles surfaced): reads `ids` ahead of
+    /// The staging routine behind `submit`: reads `ids` ahead of
     /// demand, parks the completions in the bounded cache, and prices
     /// the transfers without charging anyone a wait. No-op at depth 1 —
     /// a serial disk has no spare channel to read ahead on, which is
@@ -395,20 +385,14 @@ impl<S: PageStore> PageStore for IoScheduler<S> {
         self.service(ids)
     }
 
-    /// Issues `ids` to the device now so their transfers overlap the
-    /// caller's compute. No-op at depth 1 (a serial disk has no spare
-    /// channel to read ahead on). Read failures are dropped here —
-    /// advisory path — and resurface on the demand read.
-    fn prefetch(&self, ids: &[PageId]) {
-        let _ = self.stage(ids);
-    }
-
-    /// The split-phase submission path: identical device behavior to
-    /// [`prefetch`](PageStore::prefetch) — this is the *same* staging
-    /// routine — but the completion handles are surfaced instead of
-    /// swallowed by the cache, so a split-phase buffer pool can track
-    /// exactly which transfers are in flight and when the model says
-    /// they land.
+    /// The split-phase submission path and the scheduler's one way to
+    /// overlap I/O: issues `ids` to the device now so their transfers
+    /// overlap the caller's compute, and surfaces one completion handle
+    /// per staged read so a split-phase buffer pool can track exactly
+    /// which transfers are in flight and when the model says they land.
+    /// No-op at depth 1 (a serial disk has no spare channel to read
+    /// ahead on). Read failures are dropped here and resurface on the
+    /// demand read.
     fn submit(&self, ids: &[PageId]) -> Vec<ReadHandle> {
         self.stage(ids)
     }
@@ -469,8 +453,8 @@ mod tests {
         assert_eq!(sched.inner().stats(), raw.stats());
         assert_eq!(sched.io_wait_us(), 0);
         assert_eq!(sched.virtual_now_us(), 0);
-        // Prefetch is a no-op on a serial disk: no cache, no reads.
-        sched.prefetch(&[pid(1, 0)]);
+        // Staging is a no-op on a serial disk: no cache, no reads.
+        sched.submit(&[pid(1, 0)]);
         assert_eq!(sched.inner().stats().reads, raw.stats().reads);
         assert_eq!(sched.metrics().overlap_hits.get(), 0);
     }
@@ -517,7 +501,7 @@ mod tests {
                     clock: ClockKind::Virtual,
                 },
             );
-            sched.prefetch(&[pid(1, 0), pid(1, 1)]);
+            sched.submit(&[pid(1, 0), pid(1, 1)]);
             sched.read_pages(&ids(5));
             sched.read_pages(&[pid(1, 0), pid(1, 1), pid(2, 0)]);
             (
@@ -544,12 +528,8 @@ mod tests {
                 clock: ClockKind::Virtual,
             },
         );
-        sched.prefetch(&ids(3));
-        assert_eq!(
-            sched.inner().stats().reads,
-            3,
-            "prefetch reads are physical"
-        );
+        sched.submit(&ids(3));
+        assert_eq!(sched.inner().stats().reads, 3, "staged reads are physical");
         assert_eq!(sched.io_wait_us(), 0, "nobody waited yet");
         // Demand the batch: pages come from the cache, the only wait
         // is the still-in-flight residual.
@@ -612,7 +592,7 @@ mod tests {
             },
         );
         let all: Vec<PageId> = (0..(PREFETCH_CAP as u32 + 8)).map(|p| pid(0, p)).collect();
-        sched.prefetch(&all);
+        sched.submit(&all);
         let state = sched.state.lock();
         assert_eq!(state.cache.len(), PREFETCH_CAP);
         assert_eq!(state.order.len(), PREFETCH_CAP);
@@ -651,7 +631,7 @@ mod tests {
             },
         );
         assert!(sched.can_tear());
-        sched.prefetch(&[pid(0, 0)]);
+        sched.submit(&[pid(0, 0)]);
         assert!(
             sched.state.lock().cache.is_empty(),
             "a torn prefetch completion entered the cache"
@@ -716,7 +696,7 @@ mod tests {
     }
 
     #[test]
-    fn submit_surfaces_the_tokens_prefetch_swallows() {
+    fn submit_surfaces_one_token_per_staged_read() {
         let sched = IoScheduler::new(
             store(4),
             IoConfig {
@@ -739,7 +719,6 @@ mod tests {
         let readies: Vec<u64> = handles.iter().map(|h| h.ready_at_us).collect();
         assert_eq!(readies, vec![125, 25, 25]);
         assert_eq!(sched.io_wait_us(), 0, "submission charges no wait");
-        // The staged pages service exactly like prefetched ones.
         let out = sched.read_pages(&ids(3));
         assert!(out.iter().all(Result::is_ok));
         assert_eq!(sched.metrics().overlap_hits.get(), 3);
@@ -790,7 +769,7 @@ mod tests {
             },
         );
         let all: Vec<PageId> = (0..(PREFETCH_CAP as u32 + 8)).map(|p| pid(0, p)).collect();
-        sched.prefetch(&all);
+        sched.submit(&all);
         assert_eq!(sched.metrics().prefetch_evicted.get(), 8);
         assert_eq!(sched.metrics().prefetch_wasted.get(), 8);
         // Serving a surviving entry is not waste.

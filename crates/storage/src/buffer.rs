@@ -6,6 +6,7 @@ use crate::disk::PageStore;
 use crate::observe::{BufferEvent, BufferObserver};
 use crate::page::Page;
 use crate::policy::{PolicyKind, ReplacementPolicy};
+use crate::shared::QueryBuffer;
 use crate::stats::{BufferMetrics, BufferStats};
 use ir_types::{BatchHandle, IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
 use parking_lot::RwLock;
@@ -113,7 +114,7 @@ impl FetchPolicy {
 /// A buffer pool of `capacity` page frames over a page store.
 ///
 /// ```
-/// use ir_storage::{BufferManager, DiskSim, Page, PolicyKind};
+/// use ir_storage::{BufferManager, DiskSim, Page, PolicyKind, QueryBuffer};
 /// use ir_types::{PageId, Posting, TermId};
 ///
 /// // One term with two pages, pool of one frame.
@@ -133,7 +134,7 @@ impl FetchPolicy {
 ///
 /// # Pinning
 ///
-/// Pages returned by [`fetch`](BufferManager::fetch) are `Arc`-backed
+/// Pages returned by [`fetch`](QueryBuffer::fetch) are `Arc`-backed
 /// and stay valid regardless of eviction, so single-threaded evaluation
 /// needs no pins at all. For callers that need a page to *stay
 /// resident* across other fetches (the multi-session server keeps each
@@ -163,7 +164,7 @@ pub struct BufferManager<S: PageStore> {
     policy_kind: PolicyKind,
     resident_per_term: TermView,
     /// Per-term counts of pages a live submission has committed to
-    /// load ([`submit_batch`](Self::submit_batch)) but not yet
+    /// load ([`submit_batch`](QueryBuffer::submit_batch)) but not yet
     /// completed. Added on top of `resident_per_term` by
     /// [`resident_pages`](Self::resident_pages), so `b_t` reflects
     /// pages already on the wire — empty outside a submit..complete
@@ -225,21 +226,10 @@ impl<S: PageStore> BufferManager<S> {
         })
     }
 
-    /// Fetches a page through the pool, counting a hit or a disk read.
-    pub fn fetch(&mut self, id: PageId) -> IrResult<Page> {
-        self.fetch_traced(id).map(|(page, _)| page)
-    }
-
-    /// [`fetch`](Self::fetch), also reporting how the request was
-    /// served — the per-call attribution concurrent sessions need.
-    pub fn fetch_traced(&mut self, id: PageId) -> IrResult<(Page, FetchOutcome)> {
-        self.fetch_one_hinted(PlanEntry::new(id))
-    }
-
-    /// Serves one plan entry: the single-fetch protocol, carrying the
-    /// entry's value hint to admission. Shared by
-    /// [`fetch_traced`](Self::fetch_traced) (no hint) and the
-    /// non-vectored arm of [`fetch_batch`](Self::fetch_batch).
+    /// Serves one plan entry: a hit, or a store read carrying the
+    /// entry's value hint to admission. The per-entry arm of the batch
+    /// loop, and the routine a partitioned pool wraps with its sibling
+    /// probe.
     pub(crate) fn fetch_one_hinted(&mut self, entry: PlanEntry) -> IrResult<(Page, FetchOutcome)> {
         let id = entry.page;
         self.metrics.requests.inc();
@@ -309,149 +299,6 @@ impl<S: PageStore> BufferManager<S> {
         self.notify(BufferEvent::Hit(id));
     }
 
-    /// Executes a [`ReadPlan`]: every entry is served — hit, store
-    /// read, or error — **in plan order**, so the pool's hit/miss/
-    /// eviction sequence (and therefore every counter and the store's
-    /// own read accounting) is identical to fetching the plan's pages
-    /// one at a time. What batching adds:
-    ///
-    /// * runs of consecutive misses go to the store through one
-    ///   vectored [`PageStore::read_pages`] call when that provably
-    ///   cannot change behaviour (no eviction pressure, no torn-page
-    ///   verification in play);
-    /// * each entry's `value_hint` reaches the replacement policy at
-    ///   admission ([`ReplacementPolicy::on_insert_hinted`]), so a
-    ///   hint-aware policy values the page *before* any later eviction
-    ///   decision;
-    /// * a duplicated page id costs one load and one hit — the second
-    ///   occurrence finds the first's frame resident.
-    ///
-    /// Errors abort the remainder of the plan; entries already served
-    /// keep their effects, exactly as sequential fetches would.
-    pub fn fetch_batch(&mut self, plan: &ReadPlan) -> IrResult<Vec<(Page, FetchOutcome)>> {
-        let mut out = Vec::with_capacity(plan.len());
-        self.fetch_batch_into(plan, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`fetch_batch`](Self::fetch_batch) writing into a caller-owned
-    /// buffer — the scratch-reuse form the evaluation loop uses so a
-    /// per-term scan does not allocate a fresh result vector on every
-    /// query. `out` is cleared first; on error it holds the entries
-    /// served before the failure (whose effects stand, exactly as in
-    /// the allocating form).
-    pub fn fetch_batch_into(
-        &mut self,
-        plan: &ReadPlan,
-        out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        // The blocking fetch IS the split-phase protocol with no gap:
-        // submit, then immediately complete. With nothing between the
-        // two phases the pins and in-flight counts the submission takes
-        // are invisible (pin/unpin emit no events, and nobody inquires
-        // b_t inside the window), so this composition is
-        // event-identical to the pre-split single-call execution.
-        let handle = self.submit_batch(plan.clone())?;
-        self.complete_into(handle, out)
-    }
-
-    /// Split-phase fetch, submission half. Records the batch metrics,
-    /// pins every distinct plan page (an in-flight page must not be a
-    /// replacement victim while the submission is outstanding), counts
-    /// the distinct non-resident pages toward their term's `b_t`
-    /// ([`resident_pages`](Self::resident_pages) adds them in), and
-    /// hands every distinct non-resident plan page — head included,
-    /// unlike [`prefetch`](Self::prefetch)'s tail-only hint — to
-    /// [`PageStore::submit`] so an overlapping store starts those
-    /// transfers now: a submission's entire cost runs in the shadow
-    /// of whatever the caller does before completing.
-    ///
-    /// For a store that cannot overlap (`PageStore::submit` default,
-    /// or a scheduler at queue depth ≤ 1) submission starts nothing,
-    /// and `submit_batch` + [`complete_into`](Self::complete_into) is
-    /// event-identical to the blocking
-    /// [`fetch_batch_into`](Self::fetch_batch_into).
-    pub fn submit_batch(&mut self, plan: ReadPlan) -> IrResult<BatchHandle> {
-        self.metrics.batches.inc();
-        self.metrics.batch_pages.record(plan.len() as u64);
-        Ok(self.submit_unmetered(plan))
-    }
-
-    /// [`submit_batch`](Self::submit_batch) without the batch metrics:
-    /// pins, in-flight counts, and store submission only. For wrappers
-    /// (the sharded pool) whose completion path records batch metrics
-    /// itself — their blocking `fetch_batch` attributes batches to the
-    /// lock-light/locked seam, and submission must not double-count.
-    pub(crate) fn submit_unmetered(&mut self, plan: ReadPlan) -> BatchHandle {
-        // A store that cannot overlap makes the submission window
-        // empty: nothing is staged, and the only callers that hold a
-        // handle across other work gate on `overlap_depth() > 1`. Skip
-        // the pin / in-flight bookkeeping entirely — it is pure
-        // per-page overhead on the blocking composition's hot path.
-        if self.store.overlap_depth() <= 1 {
-            return BatchHandle::unscheduled(plan);
-        }
-        let mut handle = BatchHandle::unscheduled(plan);
-        let mut seen: HashSet<PageId> = HashSet::with_capacity(handle.plan.len());
-        for entry in handle.plan.entries() {
-            if !seen.insert(entry.page) {
-                continue;
-            }
-            self.pin(entry.page);
-            handle.pinned.push(entry.page);
-            if !self.is_resident(entry.page) {
-                *self
-                    .in_flight_per_term
-                    .write()
-                    .entry(entry.page.term)
-                    .or_insert(0) += 1;
-                handle.loading.push(entry.page);
-            }
-        }
-        // The whole plan is handed to the store — first page included,
-        // unlike `prefetch`'s tail-only hint: a submission's *entire*
-        // cost should run in the shadow of whatever the caller does
-        // before completing, and an overlap-capable store prices the
-        // demand read as the residual wait either way.
-        if !handle.loading.is_empty() {
-            handle.reads = self.store.submit(&handle.loading);
-        }
-        handle
-    }
-
-    /// Split-phase fetch, completion half: undoes the submission's
-    /// bookkeeping (in-flight `b_t` counts come off, pins come off —
-    /// **before** the fetches, so eviction pressure inside the batch
-    /// behaves exactly as in the blocking path), then serves every
-    /// plan entry in order through the same execution loop
-    /// [`fetch_batch_into`](Self::fetch_batch_into) uses. Transient
-    /// faults and torn pages are retried here under the pool's
-    /// [`FetchPolicy`], exactly as a blocking fetch would.
-    pub fn complete_into(
-        &mut self,
-        handle: BatchHandle,
-        out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        self.settle_submission(&handle);
-        out.clear();
-        self.fetch_entries(handle.plan.entries(), out)
-    }
-
-    /// [`complete_into`](Self::complete_into) allocating its result.
-    pub fn complete(&mut self, handle: BatchHandle) -> IrResult<Vec<(Page, FetchOutcome)>> {
-        let mut out = Vec::with_capacity(handle.len());
-        self.complete_into(handle, &mut out)?;
-        Ok(out)
-    }
-
-    /// Abandons a submission: releases its pins and in-flight counts
-    /// without fetching anything. Reads the store already started are
-    /// not recalled; a latency-modeling store ages them out of its
-    /// staging cache as wasted prefetches.
-    pub fn cancel_batch(&mut self, handle: BatchHandle) {
-        self.settle_submission(&handle);
-    }
-
     /// Releases a submission's bookkeeping: in-flight `b_t` counts and
     /// pins, in that order. Shared by completion and cancellation (and
     /// by the sharded pool, which settles under the owning shard's
@@ -473,61 +320,28 @@ impl<S: PageStore> BufferManager<S> {
         }
     }
 
-    /// How many reads the underlying store can usefully keep in
-    /// flight: 1 for synchronous stores, the queue depth for a
-    /// latency-modeling scheduler.
-    pub fn overlap_depth(&self) -> usize {
-        self.store.overlap_depth()
-    }
-
-    /// Hints the store about the tail of `plan` so a latency-modeling
-    /// backend (`ir-storage::backend::IoScheduler`) can overlap those
-    /// transfers with the compute on the plan's head. The head entry is
-    /// excluded — it is about to be demanded anyway — as are entries
-    /// already resident in the pool. Advisory and effect-free for every
-    /// store whose [`PageStore::prefetch`] keeps the no-op default
-    /// ([`DiskSim`](crate::DiskSim), [`FilePageStore`](crate::FilePageStore),
-    /// the fault injector): the pool's own counters, events, and
-    /// residency never change here.
-    pub fn prefetch(&self, plan: &ReadPlan) {
-        let entries = plan.entries();
-        if entries.len() <= 1 {
-            return;
-        }
-        let ids: Vec<PageId> = entries[1..]
-            .iter()
-            .map(|e| e.page)
-            .filter(|id| !self.is_resident(*id))
-            .collect();
-        if !ids.is_empty() {
-            self.store.prefetch(&ids);
-        }
-    }
-
-    /// Executes `plan` from entry `start` onward, **appending** to
-    /// `out`, and records the batch metrics for the *whole* plan. For
-    /// lock-light wrappers that already served entries `0..start` as
-    /// resident hits (with eager counters and deferred policy effects
-    /// replayed before this call): the combined accounting — counters,
-    /// events, store reads, batch histogram — is exactly what
-    /// [`fetch_batch_into`](Self::fetch_batch_into) would have
-    /// produced for the full plan, because the wrapper's prefix is
-    /// precisely the hits this method would have served first.
-    pub(crate) fn fetch_batch_tail(
-        &mut self,
-        plan: &ReadPlan,
-        start: usize,
-        out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        self.metrics.batches.inc();
-        self.metrics.batch_pages.record(plan.len() as u64);
-        self.fetch_entries(&plan.entries()[start..], out)
-    }
-
     /// The batch execution loop over a slice of plan entries,
-    /// appending to `out`. Batch-level metrics are the caller's
-    /// responsibility.
-    fn fetch_entries(
+    /// appending to `out`. Every entry is served — hit, store read, or
+    /// error — **in plan order**, so the pool's hit/miss/eviction
+    /// sequence (and therefore every counter and the store's own read
+    /// accounting) is identical to serving the entries one at a time.
+    /// What batching adds:
+    ///
+    /// * runs of consecutive misses go to the store through one
+    ///   vectored [`PageStore::read_pages`] call when that provably
+    ///   cannot change behaviour (no eviction pressure, no torn-page
+    ///   verification in play);
+    /// * each entry's `value_hint` reaches the replacement policy at
+    ///   admission ([`ReplacementPolicy::on_insert_hinted`]), so a
+    ///   hint-aware policy values the page *before* any later eviction
+    ///   decision;
+    /// * a duplicated page id costs one load and one hit — the second
+    ///   occurrence finds the first's frame resident.
+    ///
+    /// Errors abort the remainder; entries already served keep their
+    /// effects. Batch-level metrics are counted at submission, never
+    /// here.
+    pub(crate) fn fetch_entries(
         &mut self,
         entries: &[PlanEntry],
         out: &mut Vec<(Page, FetchOutcome)>,
@@ -542,8 +356,14 @@ impl<S: PageStore> BufferManager<S> {
             // evict (occupancy stays under capacity) and never verify
             // checksums (the store cannot tear), so reading the run in
             // one store call and installing in order is
-            // behaviour-identical.
-            if !self.frames.read().contains_key(&entry.page) && !self.store.can_tear() {
+            // behaviour-identical. A lone last entry — every
+            // single-page fetch — takes the per-entry path instead: the
+            // same one `read_page` a single fetch always issued,
+            // without the run's scratch allocations.
+            if i + 1 < entries.len()
+                && !self.frames.read().contains_key(&entry.page)
+                && !self.store.can_tear()
+            {
                 let budget = self.capacity.saturating_sub(self.frames.read().len());
                 let mut seen: HashSet<PageId> =
                     HashSet::with_capacity(budget.min(entries.len() - i));
@@ -656,7 +476,7 @@ impl<S: PageStore> BufferManager<S> {
     /// Admission touches no request/hit/miss counter (only the borrow
     /// counter, plus `evictions` if room had to be made): the caller
     /// decides what the admission means for its accounting, typically
-    /// by following up with a [`fetch`](Self::fetch) that now hits.
+    /// by following up with a [`fetch`](QueryBuffer::fetch) that now hits.
     /// Observers see a [`BufferEvent::Borrow`], not a `Load`.
     ///
     /// # Errors
@@ -766,7 +586,7 @@ impl<S: PageStore> BufferManager<S> {
 
     /// `b_t`: number of pages of `term`'s inverted list currently in
     /// the pool — plus pages a live submission has committed to load
-    /// ([`submit_batch`](Self::submit_batch)): a page on the wire is
+    /// ([`submit_batch`](QueryBuffer::submit_batch)): a page on the wire is
     /// as good as resident to a term selector deciding what to read
     /// next, because demanding it costs only the residual wait.
     /// Outside a submit..complete window the in-flight term is zero
@@ -924,6 +744,93 @@ impl<S: PageStore> BufferManager<S> {
     /// The underlying page store.
     pub fn store(&self) -> &S {
         &self.store
+    }
+}
+
+impl<S: PageStore> QueryBuffer for BufferManager<S> {
+    /// Counts the batch, then — only when the store can overlap
+    /// (queue depth > 1) — pins every distinct plan page (an in-flight
+    /// page must not be a replacement victim while the submission is
+    /// outstanding), counts the distinct non-resident pages toward
+    /// their term's `b_t` ([`resident_pages`](BufferManager::resident_pages)
+    /// adds them in), and hands them all — head included — to
+    /// [`PageStore::submit`] so the store starts those transfers now:
+    /// a submission's entire cost runs in the shadow of whatever the
+    /// caller does before completing.
+    ///
+    /// For a store that cannot overlap the submission window is empty:
+    /// nothing is pinned or staged, and submit + complete is
+    /// event-identical to serving the plan in one call.
+    fn submit_batch(&mut self, plan: ReadPlan) -> IrResult<BatchHandle> {
+        self.metrics.record_batch(plan.len());
+        let mut handle = BatchHandle::unscheduled(plan);
+        if self.store.overlap_depth() <= 1 {
+            return Ok(handle);
+        }
+        let mut seen: HashSet<PageId> = HashSet::with_capacity(handle.plan.len());
+        for entry in handle.plan.entries() {
+            if !seen.insert(entry.page) {
+                continue;
+            }
+            self.pin(entry.page);
+            handle.pinned.push(entry.page);
+            if !self.is_resident(entry.page) {
+                *self
+                    .in_flight_per_term
+                    .write()
+                    .entry(entry.page.term)
+                    .or_insert(0) += 1;
+                handle.loading.push(entry.page);
+            }
+        }
+        if !handle.loading.is_empty() {
+            handle.reads = self.store.submit(&handle.loading);
+        }
+        Ok(handle)
+    }
+
+    /// Undoes the submission's bookkeeping (in-flight `b_t` counts come
+    /// off, pins come off — **before** the fetches, so eviction
+    /// pressure inside the batch behaves exactly as with no submission
+    /// window), then serves every plan entry in order. Transient
+    /// faults and torn pages are retried here under the pool's
+    /// [`FetchPolicy`].
+    fn complete_into(
+        &mut self,
+        handle: BatchHandle,
+        out: &mut Vec<(Page, FetchOutcome)>,
+    ) -> IrResult<()> {
+        self.settle_submission(&handle);
+        out.clear();
+        self.fetch_entries(handle.plan.entries(), out)
+    }
+
+    /// Releases the submission's pins and in-flight counts without
+    /// fetching anything. Reads the store already started are not
+    /// recalled; a latency-modeling store ages them out of its staging
+    /// cache as wasted prefetches.
+    fn cancel_batch(&mut self, handle: BatchHandle) {
+        self.settle_submission(&handle);
+    }
+
+    fn overlap_depth(&self) -> usize {
+        self.store.overlap_depth()
+    }
+
+    fn resident_pages(&self, term: TermId) -> u32 {
+        BufferManager::resident_pages(self, term)
+    }
+
+    fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
+        BufferManager::begin_query(self, weights);
+    }
+
+    fn stats(&self) -> BufferStats {
+        BufferManager::stats(self)
+    }
+
+    fn borrows(&self) -> u64 {
+        BufferManager::borrows(self)
     }
 }
 

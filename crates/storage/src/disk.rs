@@ -57,24 +57,18 @@ pub trait PageStore {
         out
     }
 
-    /// Hints that `ids` will be demanded shortly, in order. A scheduler
-    /// that can overlap transfers with compute starts them now; the
-    /// default — right for synchronous stores, where an early read
-    /// saves nothing — does nothing. Advisory only: errors are *not*
-    /// reported here, they surface on the demand read.
+    /// Kept for implementors outside this workspace: nothing in the
+    /// workspace calls it, and no store implements it. Read-ahead
+    /// happens through [`submit`](Self::submit).
     fn prefetch(&self, _ids: &[PageId]) {}
 
-    /// Split-phase submission: starts asynchronous reads of `ids` and
-    /// returns one [`ReadHandle`] per read the store actually
-    /// scheduled, each carrying its completion token and modeled
-    /// ready time. Same advisory contract as
-    /// [`prefetch`](Self::prefetch) — errors surface on the demand
-    /// read — but completions are *surfaced* instead of swallowed, so
-    /// the caller can reason about the in-flight set. The default
-    /// forwards to `prefetch` and reports nothing scheduled, which is
-    /// exact for synchronous stores.
-    fn submit(&self, ids: &[PageId]) -> Vec<ReadHandle> {
-        self.prefetch(ids);
+    /// Split-phase submission — the one way to overlap I/O: starts
+    /// asynchronous reads of `ids` and returns one [`ReadHandle`] per
+    /// read the store actually scheduled, each carrying its completion
+    /// token and modeled ready time. Advisory: errors are *not*
+    /// reported here, they surface on the demand read. The default
+    /// schedules nothing, which is exact for synchronous stores.
+    fn submit(&self, _ids: &[PageId]) -> Vec<ReadHandle> {
         Vec::new()
     }
 
@@ -273,10 +267,6 @@ impl<S: PageStore + ?Sized> PageStore for &S {
         (**self).read_pages(ids)
     }
 
-    fn prefetch(&self, ids: &[PageId]) {
-        (**self).prefetch(ids);
-    }
-
     fn submit(&self, ids: &[PageId]) -> Vec<ReadHandle> {
         (**self).submit(ids)
     }
@@ -309,10 +299,6 @@ impl<S: PageStore + ?Sized> PageStore for std::sync::Arc<S> {
 
     fn read_pages(&self, ids: &[PageId]) -> Vec<IrResult<Page>> {
         (**self).read_pages(ids)
-    }
-
-    fn prefetch(&self, ids: &[PageId]) {
-        (**self).prefetch(ids);
     }
 
     fn submit(&self, ids: &[PageId]) -> Vec<ReadHandle> {

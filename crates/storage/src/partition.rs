@@ -16,7 +16,7 @@ use crate::page::Page;
 use crate::policy::PolicyKind;
 use crate::stats::BufferStats;
 use ir_observe::MetricsSnapshot;
-use ir_types::{IrError, IrResult, PageId, ReadPlan, TermId};
+use ir_types::{BatchHandle, IrError, IrResult, PageId, PlanEntry, ReadPlan, TermId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -50,92 +50,79 @@ impl<S: PageStore> PartitionedBuffer<S> {
         Ok(PartitionedBuffer { partitions })
     }
 
+    /// Fails unless `pid` names a partition.
+    fn check(&self, pid: PartitionId) -> IrResult<()> {
+        let n = self.partitions.len();
+        if pid >= n {
+            return Err(IrError::InvalidConfig(format!(
+                "partition {pid} out of range (have {n})"
+            )));
+        }
+        Ok(())
+    }
+
     /// Fetches a page on behalf of partition `pid`. A miss first probes
     /// sibling partitions; only if no sibling holds the page does the
-    /// request reach disk.
+    /// request reach disk. A single page is not a batch.
     pub fn fetch(&mut self, pid: PartitionId, id: PageId) -> IrResult<Page> {
-        self.fetch_traced(pid, id).map(|(page, _)| page)
+        self.check(pid)?;
+        self.serve(pid, PlanEntry::new(id)).map(|(page, _)| page)
     }
 
-    /// [`fetch`](Self::fetch), also reporting how the request was
-    /// served: `Hit` from `pid`'s own frames, `Borrowed` via a sibling
-    /// partition's copy, `Miss` from the shared store.
-    pub fn fetch_traced(&mut self, pid: PartitionId, id: PageId) -> IrResult<(Page, FetchOutcome)> {
-        let n = self.partitions.len();
-        if pid >= n {
-            return Err(IrError::InvalidConfig(format!(
-                "partition {pid} out of range (have {n})"
-            )));
-        }
-        if self.partitions[pid].is_resident(id) {
-            return self.partitions[pid].fetch_traced(id);
-        }
-        // Sibling probe: a resident copy elsewhere saves the disk read
-        // but still occupies a frame in `pid`'s own partition.
-        let sibling = (0..n)
-            .filter(|p| *p != pid)
-            .find(|p| self.partitions[*p].is_resident(id));
-        if let Some(sp) = sibling {
-            let page = self.partitions[sp]
-                .peek(id)
-                .expect("sibling probe found the page resident");
-            // Borrow the sibling's frame: admit the copy store-lessly,
-            // then serve the request as the buffer hit it now is. The
-            // borrow counts as a hit (not a miss) in `pid`'s partition
-            // and issues zero reads against the shared store; admit
-            // records it on the partition's borrow counter.
-            self.partitions[pid].admit(page)?;
-            let (page, _) = self.partitions[pid].fetch_traced(id)?;
-            return Ok((page, FetchOutcome::Borrowed));
-        }
-        self.partitions[pid].fetch_traced(id)
+    /// Submits a [`ReadPlan`] on behalf of partition `pid`: the batch
+    /// is counted on `pid`'s metrics. Nothing is staged — a partition
+    /// serves its plan entry by entry at completion.
+    pub fn submit_batch(&mut self, pid: PartitionId, plan: ReadPlan) -> IrResult<BatchHandle> {
+        self.check(pid)?;
+        self.partitions[pid].metrics().record_batch(plan.len());
+        Ok(BatchHandle::unscheduled(plan))
     }
 
-    /// Executes a [`ReadPlan`] on behalf of partition `pid`. Entries
-    /// are served strictly in plan order, each with the full sibling
-    /// probe, so the outcome sequence is identical to per-page
-    /// [`fetch_traced`](Self::fetch_traced) calls — the probe must see
-    /// every earlier entry's effect on sibling partitions, which rules
-    /// out resolving borrows up front. Value hints reach `pid`'s own
-    /// policy on store misses; the batch is counted on `pid`'s metrics.
-    pub fn fetch_batch(
+    /// Completes a submission on behalf of partition `pid`, writing
+    /// into `out` (cleared first). Entries are served strictly in plan
+    /// order, each with the full sibling probe, so the outcome
+    /// sequence is identical to per-page [`fetch`](Self::fetch) calls —
+    /// the probe must see every earlier entry's effect on sibling
+    /// partitions, which rules out resolving borrows up front. Value
+    /// hints reach `pid`'s own policy on store misses.
+    pub fn complete_into(
         &mut self,
         pid: PartitionId,
-        plan: &ReadPlan,
-    ) -> IrResult<Vec<(Page, FetchOutcome)>> {
-        let n = self.partitions.len();
-        if pid >= n {
-            return Err(IrError::InvalidConfig(format!(
-                "partition {pid} out of range (have {n})"
-            )));
+        handle: BatchHandle,
+        out: &mut Vec<(Page, FetchOutcome)>,
+    ) -> IrResult<()> {
+        self.check(pid)?;
+        out.clear();
+        for entry in handle.plan.iter() {
+            out.push(self.serve(pid, *entry)?);
         }
-        {
-            let m = self.partitions[pid].metrics();
-            m.batches.inc();
-            m.batch_pages.record(plan.len() as u64);
-        }
-        let mut out = Vec::with_capacity(plan.len());
-        for entry in plan.iter() {
-            let id = entry.page;
-            if self.partitions[pid].is_resident(id) {
-                out.push(self.partitions[pid].fetch_traced(id)?);
-                continue;
-            }
-            let sibling = (0..n)
+        Ok(())
+    }
+
+    /// Serves one plan entry for partition `pid`: `Hit` from `pid`'s
+    /// own frames, `Borrowed` via a sibling partition's copy, `Miss`
+    /// from the shared store.
+    fn serve(&mut self, pid: PartitionId, entry: PlanEntry) -> IrResult<(Page, FetchOutcome)> {
+        let id = entry.page;
+        if !self.partitions[pid].is_resident(id) {
+            // Sibling probe: a resident copy elsewhere saves the disk
+            // read but still occupies a frame in `pid`'s own partition.
+            let sibling = (0..self.partitions.len())
                 .filter(|p| *p != pid)
-                .find(|p| self.partitions[*p].is_resident(id));
-            if let Some(sp) = sibling {
-                let page = self.partitions[sp]
-                    .peek(id)
-                    .expect("sibling probe found the page resident");
+                .find_map(|p| self.partitions[p].peek(id));
+            if let Some(page) = sibling {
+                // Borrow the sibling's frame: admit the copy
+                // store-lessly, then serve the request as the buffer
+                // hit it now is. The borrow counts as a hit (not a
+                // miss) in `pid`'s partition and issues zero reads
+                // against the shared store; admit records it on the
+                // partition's borrow counter.
                 self.partitions[pid].admit(page)?;
-                let (page, _) = self.partitions[pid].fetch_traced(id)?;
-                out.push((page, FetchOutcome::Borrowed));
-                continue;
+                let (page, _) = self.partitions[pid].fetch_one_hinted(entry)?;
+                return Ok((page, FetchOutcome::Borrowed));
             }
-            out.push(self.partitions[pid].fetch_one_hinted(*entry)?);
         }
-        Ok(out)
+        self.partitions[pid].fetch_one_hinted(entry)
     }
 
     /// Sets the store-read retry policy on every partition.
@@ -373,7 +360,9 @@ mod tests {
             .into_iter()
             .map(ir_types::PlanEntry::new)
             .collect();
-        let out = pb.fetch_batch(1, &plan).unwrap();
+        let handle = pb.submit_batch(1, plan.clone()).unwrap();
+        let mut out = Vec::new();
+        pb.complete_into(1, handle, &mut out).unwrap();
         let outcomes: Vec<FetchOutcome> = out.iter().map(|(_, o)| *o).collect();
         assert_eq!(
             outcomes,
@@ -391,7 +380,7 @@ mod tests {
         assert_eq!(pb.partitions[1].metrics().batch_pages.sum(), 4);
         assert_eq!(pb.partitions[0].metrics().batches.get(), 0);
         // Out-of-range pid is rejected up front.
-        assert!(pb.fetch_batch(7, &plan).is_err());
+        assert!(pb.submit_batch(7, plan).is_err());
     }
 
     #[test]

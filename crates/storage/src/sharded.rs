@@ -29,15 +29,15 @@
 //!   anything else, so policy state at any mutation point equals the
 //!   in-order fold of hits — single-threaded runs stay event-for-event
 //!   identical to an unsharded [`BufferManager`]. Only misses,
-//!   evictions, announcements and inspection take the exclusive mutex.
-//! * **Execute-and-release batches.** A cross-shard
-//!   [`fetch_batch`](ShardedBufferPool::fetch_batch) runs its per-shard
-//!   sub-plans in ascending shard order, locking each shard *only
-//!   while its own sub-plan executes* — at most one shard lock is held
-//!   at any moment, so a thread serving shard 0's disk reads never
-//!   idles holding shard 3's lock (the convoy the previous
-//!   all-guards-up-front protocol created), and deadlock is impossible
-//!   by construction.
+//!   evictions, announcements, inspection and — only when the store
+//!   can overlap — submissions take the exclusive mutex.
+//! * **Execute-and-release batches.** Completing a cross-shard plan
+//!   runs its per-shard sub-plans in ascending shard order, locking
+//!   each shard *only while its own sub-plan executes* — at most one
+//!   shard lock is held at any moment, so a thread serving shard 0's
+//!   disk reads never idles holding shard 3's lock (the convoy the
+//!   previous all-guards-up-front protocol created), and deadlock is
+//!   impossible by construction.
 //!
 //! ## Semantics
 //!
@@ -182,7 +182,7 @@ impl<S: PageStore> Shard<S> {
         }
     }
 
-    /// Queues the deferred effects of a lock-light hit.
+    /// Queues the deferred effects of lock-light hits, in serve order.
     ///
     /// The dirty flag is set *while still holding* the queue mutex.
     /// Publishing it after release opened a window — enqueue done,
@@ -193,9 +193,9 @@ impl<S: PageStore> Shard<S> {
     /// `quiesce()`. Setting the flag under the same lock the drain
     /// clears it under restores the invariant: queue mutex free ∧
     /// flag clear ⟹ queue empty.
-    fn defer_hit(&self, id: PageId) {
+    fn defer_hits(&self, ids: impl Iterator<Item = PageId>) {
         let mut queue = self.pending_hits.lock();
-        queue.push(id);
+        queue.extend(ids);
         self.has_pending.store(true, Ordering::Release);
     }
 }
@@ -214,6 +214,8 @@ pub struct ShardedBufferPool<S: PageStore> {
     /// Whether the shards' policy reacts to `begin_query` (RAP). When
     /// `false`, query announcements skip all `P` shard locks.
     uses_query_context: bool,
+    /// The shared store's queue depth, read once at construction.
+    overlap_depth: usize,
     metrics: ShardMetrics,
 }
 
@@ -223,6 +225,7 @@ impl<S: PageStore> Clone for ShardedBufferPool<S> {
             shards: Arc::clone(&self.shards),
             chunk_pages: self.chunk_pages,
             uses_query_context: self.uses_query_context,
+            overlap_depth: self.overlap_depth,
             metrics: self.metrics.clone(),
         }
     }
@@ -296,6 +299,7 @@ impl<S: PageStore> ShardedBufferPool<S> {
                 "sharded pool needs a non-zero routing chunk".into(),
             ));
         }
+        let overlap_depth = store.overlap_depth();
         let base = total_frames / shards;
         let extra = total_frames % shards;
         let mut uses_query_context = false;
@@ -312,6 +316,7 @@ impl<S: PageStore> ShardedBufferPool<S> {
             shards: pools.into(),
             chunk_pages,
             uses_query_context,
+            overlap_depth,
             metrics: ShardMetrics::new(),
         })
     }
@@ -364,7 +369,7 @@ impl<S: PageStore> ShardedBufferPool<S> {
             // Clear the flag and empty the queue under one hold of the
             // queue mutex — enqueuers set the flag under the same lock,
             // so no hit can slip between the clear and the take (see
-            // `Shard::defer_hit`).
+            // `Shard::defer_hits`).
             let mut drained = {
                 let mut queue = shard.pending_hits.lock();
                 shard.has_pending.store(false, Ordering::Release);
@@ -394,41 +399,17 @@ impl<S: PageStore> ShardedBufferPool<S> {
         }
     }
 
-    /// Fetches a page through its shard, counting a hit or a disk read
-    /// on that shard's counters.
-    pub fn fetch(&self, id: PageId) -> IrResult<Page> {
-        self.fetch_traced(id).map(|(page, _)| page)
-    }
-
-    /// [`fetch`](Self::fetch), also reporting how the request was
-    /// served. A hit is served under the owning shard's frame-table
-    /// read lock — no mutex; only a miss locks the shard exclusively.
-    pub fn fetch_traced(&self, id: PageId) -> IrResult<(Page, FetchOutcome)> {
-        let s = self.shard_of(id);
-        let shard = &self.shards[s];
-        let resident = shard.frames.read().get(&id).cloned();
-        if let Some(page) = resident {
-            shard.metrics.requests.inc();
-            shard.metrics.hits.inc();
-            shard.defer_hit(id);
-            return Ok((page, FetchOutcome::Hit));
-        }
-        self.lock(s).fetch_traced(id)
-    }
-
     /// Serves the longest resident *prefix* of a one-shard sub-plan
     /// from the shard's frame table under its read lock — no mutex —
     /// appending the hits to `out` in plan order, and returns how many
     /// entries were served. The prefix is exactly the hits the
-    /// exclusive path would have served before its first miss, so a
-    /// caller that hands the remainder to
-    /// [`BufferManager::fetch_batch_tail`] reproduces the locked
-    /// path's accounting event for event. Counters bump eagerly (one
-    /// atomic add per counter for the whole prefix — per-entry
+    /// exclusive path would have served before its first miss, so
+    /// handing the remainder to the locked manager reproduces the
+    /// locked path's accounting event for event. Counters bump eagerly
+    /// (one atomic add per counter for the whole prefix — per-entry
     /// increments showed up as real per-hit overhead); policy/observer
     /// effects are queued for replay at the next exclusive
-    /// acquisition. A fully-resident plan also records its batch
-    /// metrics here, since the exclusive path never runs.
+    /// acquisition.
     fn serve_resident_prefix(
         &self,
         s: usize,
@@ -450,39 +431,38 @@ impl<S: PageStore> ShardedBufferPool<S> {
         if served > 0 {
             shard.metrics.requests.add(served as u64);
             shard.metrics.hits.add(served as u64);
-            // Flag set under the queue lock, as in `Shard::defer_hit`,
-            // so a concurrent drain cannot strand this batch of hits.
-            let mut queue = shard.pending_hits.lock();
-            queue.extend(entries[..served].iter().map(|e| e.page));
-            shard.has_pending.store(true, Ordering::Release);
-            drop(queue);
-        }
-        if served == entries.len() {
-            shard.metrics.batches.inc();
-            shard.metrics.batch_pages.record(entries.len() as u64);
+            shard.defer_hits(entries[..served].iter().map(|e| e.page));
         }
         served
     }
 
-    /// Executes a [`ReadPlan`], locking only the shards the plan's
-    /// pages route to — one at a time, in ascending shard order. Each
-    /// shard serves its sub-plan (the plan's entries that route to it,
-    /// in plan order) through [`BufferManager::fetch_batch`], keeping
-    /// the duplicate/one-load and vectored-read semantics per shard;
-    /// outcomes are reassembled into plan order. Each sub-plan's
-    /// resident prefix is served lock-light under the shard's read
-    /// lock; only the remainder (first miss onward) takes the shard
-    /// mutex. An error aborts the failing shard's tail and every
-    /// not-yet-executed shard; completed shards keep their effects.
-    pub fn fetch_batch(&self, plan: &ReadPlan) -> IrResult<Vec<(Page, FetchOutcome)>> {
-        let mut out = Vec::with_capacity(plan.len());
-        self.fetch_batch_into(plan, &mut out)?;
-        Ok(out)
+    /// Serves a one-shard sub-plan on shard `s`, appending to `out`:
+    /// the resident prefix lock-light, the remainder (first miss
+    /// onward) under the shard mutex.
+    fn serve_on_shard(
+        &self,
+        s: usize,
+        entries: &[PlanEntry],
+        out: &mut Vec<(Page, FetchOutcome)>,
+    ) -> IrResult<()> {
+        let served = self.serve_resident_prefix(s, entries, out);
+        if served == entries.len() {
+            return Ok(());
+        }
+        self.lock(s).fetch_entries(&entries[served..], out)
     }
 
-    /// [`fetch_batch`](Self::fetch_batch) writing into a caller-owned
-    /// buffer (cleared first); on error `out` holds the entries served
-    /// before the failure.
+    /// Releases a submission's pins and in-flight counts under its
+    /// owning shard's lock. Unscheduled handles (nothing staged)
+    /// settle for free.
+    fn settle(&self, handle: &BatchHandle) {
+        if handle.pinned.is_empty() && handle.loading.is_empty() {
+            return;
+        }
+        let first = handle.plan.entries()[0].page;
+        self.lock(self.shard_of(first)).settle_submission(handle);
+    }
+
     /// The one shard every entry of `plan` routes to, when there is
     /// one — the common case under term-chunk routing and always true
     /// for `P = 1`. An empty plan reports shard 0 on a one-shard pool
@@ -508,123 +488,6 @@ impl<S: PageStore> ShardedBufferPool<S> {
             }
             None => (self.shards.len() == 1).then_some(0),
         }
-    }
-
-    /// [`fetch_batch`](Self::fetch_batch) writing into a caller-owned
-    /// buffer (cleared first); on error `out` holds the entries served
-    /// before the failure.
-    pub fn fetch_batch_into(
-        &self,
-        plan: &ReadPlan,
-        out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        out.clear();
-        // Single-shard plans skip grouping and scatter entirely.
-        if let Some(s) = self.single_shard_of(plan) {
-            let served = self.serve_resident_prefix(s, plan.entries(), out);
-            if served == plan.len() {
-                return Ok(());
-            }
-            return self.lock(s).fetch_batch_tail(plan, served, out);
-        }
-        let mut groups: Vec<Vec<(usize, PlanEntry)>> = vec![Vec::new(); self.shards.len()];
-        for (i, entry) in plan.iter().enumerate() {
-            groups[self.shard_of(entry.page)].push((i, *entry));
-        }
-        let touched: Vec<usize> = (0..groups.len())
-            .filter(|&s| !groups[s].is_empty())
-            .collect();
-        if touched.len() > 1 {
-            self.metrics.batch_splits.inc();
-        }
-        let mut slots: Vec<Option<(Page, FetchOutcome)>> = vec![None; plan.len()];
-        // Execute-and-release in ascending shard order: each shard's
-        // guard is dropped before the next shard is locked, so at most
-        // one shard lock is held at any moment — a thread stuck in
-        // shard k's disk reads cannot convoy traffic on later shards,
-        // and holding one lock can never deadlock.
-        for s in touched {
-            let group = &groups[s];
-            let sub: Vec<PlanEntry> = group.iter().map(|(_, e)| *e).collect();
-            let mut served = Vec::with_capacity(sub.len());
-            let k = self.serve_resident_prefix(s, &sub, &mut served);
-            if k < sub.len() {
-                let sub_plan: ReadPlan = sub.into_iter().collect();
-                self.lock(s).fetch_batch_tail(&sub_plan, k, &mut served)?;
-            }
-            for ((plan_idx, _), result) in group.iter().zip(served) {
-                slots[*plan_idx] = Some(result);
-            }
-        }
-        out.reserve(slots.len());
-        for slot in slots {
-            out.push(slot.expect("every plan entry belongs to exactly one shard"));
-        }
-        Ok(())
-    }
-
-    /// Split-phase fetch, submission half. A single-shard plan (the
-    /// common case under term-chunk routing, and what shard-aware plan
-    /// alignment produces) locks its owning shard once: the shard's
-    /// manager pins the plan's distinct pages, counts the non-resident
-    /// ones in-flight toward `b_t` (visible to the lock-free
-    /// [`resident_pages_many`](Self::resident_pages_many)), and hands
-    /// the non-resident tail to the store. Batch metrics are **not**
-    /// recorded here — the completion path attributes them exactly as
-    /// the blocking path does, at the lock-light/locked seam. A plan
-    /// spanning several shards returns an unscheduled handle:
-    /// completing it is simply the blocking cross-shard batch.
-    pub fn submit_batch(&self, plan: ReadPlan) -> IrResult<BatchHandle> {
-        match self.single_shard_of(&plan) {
-            Some(s) if !plan.is_empty() => Ok(self.lock(s).submit_unmetered(plan)),
-            _ => Ok(BatchHandle::unscheduled(plan)),
-        }
-    }
-
-    /// Split-phase fetch, completion half: settles the submission's
-    /// pins and in-flight counts under the owning shard's lock, then
-    /// serves the plan through the ordinary
-    /// [`fetch_batch_into`](Self::fetch_batch_into) path — lock-light
-    /// resident prefix, locked tail, batch metrics at the seam — so
-    /// the combined accounting is identical to a blocking batch.
-    pub fn complete_into(
-        &self,
-        handle: BatchHandle,
-        out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        self.settle(&handle);
-        self.fetch_batch_into(&handle.plan, out)
-    }
-
-    /// [`complete_into`](Self::complete_into) allocating its result.
-    pub fn complete(&self, handle: BatchHandle) -> IrResult<Vec<(Page, FetchOutcome)>> {
-        let mut out = Vec::with_capacity(handle.len());
-        self.complete_into(handle, &mut out)?;
-        Ok(out)
-    }
-
-    /// Abandons a submission: pins and in-flight counts come off,
-    /// nothing is fetched.
-    pub fn cancel_batch(&self, handle: BatchHandle) {
-        self.settle(&handle);
-    }
-
-    /// Releases a submission's bookkeeping under its owning shard's
-    /// lock. Unscheduled handles (multi-shard or empty plans) took no
-    /// bookkeeping and settle for free.
-    fn settle(&self, handle: &BatchHandle) {
-        if handle.pinned.is_empty() && handle.loading.is_empty() {
-            return;
-        }
-        let first = handle.plan.entries()[0].page;
-        self.lock(self.shard_of(first)).settle_submission(handle);
-    }
-
-    /// How many reads the underlying store can usefully keep in
-    /// flight (1 = split-phase degenerates to blocking). Every shard
-    /// shares one store, so shard 0 answers for the pool.
-    pub fn overlap_depth(&self) -> usize {
-        self.lock(0).overlap_depth()
     }
 
     /// `b_t` across the whole pool: a term's chunks may hash to
@@ -827,44 +690,92 @@ impl<S: PageStore> ShardedBufferPool<S> {
 }
 
 impl<S: PageStore> QueryBuffer for ShardedBufferPool<S> {
-    fn fetch(&mut self, id: PageId) -> IrResult<Page> {
-        ShardedBufferPool::fetch(self, id)
-    }
-
-    fn fetch_traced(&mut self, id: PageId) -> IrResult<(Page, FetchOutcome)> {
-        ShardedBufferPool::fetch_traced(self, id)
-    }
-
-    fn fetch_batch(&mut self, plan: &ReadPlan) -> IrResult<Vec<(Page, FetchOutcome)>> {
-        ShardedBufferPool::fetch_batch(self, plan)
-    }
-
-    fn fetch_batch_into(
-        &mut self,
-        plan: &ReadPlan,
-        out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        ShardedBufferPool::fetch_batch_into(self, plan, out)
-    }
-
+    /// Split-phase submission. A single-shard plan (the common case
+    /// under term-chunk routing, and what shard-aware plan alignment
+    /// produces) is counted on its owning shard. Only when the store
+    /// can overlap does that shard's lock get taken, so its manager can
+    /// pin the plan's distinct pages, count the non-resident ones
+    /// in-flight toward `b_t` (visible to the lock-free
+    /// [`resident_pages_many`](ShardedBufferPool::resident_pages_many))
+    /// and hand them to the store; otherwise the count is an atomic
+    /// add and no shard mutex is touched.
+    ///
+    /// A plan spanning several shards returns an unscheduled handle:
+    /// completion submits each shard's sub-plan to that shard in turn.
     fn submit_batch(&mut self, plan: ReadPlan) -> IrResult<BatchHandle> {
-        ShardedBufferPool::submit_batch(self, plan)
+        let Some(s) = self.single_shard_of(&plan) else {
+            return Ok(BatchHandle::unscheduled(plan));
+        };
+        if self.overlap_depth > 1 {
+            return self.lock(s).submit_batch(plan);
+        }
+        self.shards[s].metrics.record_batch(plan.len());
+        Ok(BatchHandle::unscheduled(plan))
     }
 
+    /// Split-phase completion: settles the submission's pins and
+    /// in-flight counts under the owning shard's lock, then serves the
+    /// plan — each shard's resident prefix lock-light, its remainder
+    /// under that shard's mutex.
+    ///
+    /// A cross-shard plan runs its per-shard sub-plans in ascending
+    /// shard order, locking each shard *only while its own sub-plan
+    /// executes* — at most one shard lock is held at any moment, so a
+    /// thread stuck in shard k's disk reads cannot convoy traffic on
+    /// later shards, and holding one lock can never deadlock. Each
+    /// sub-plan counts as one batch on its shard when its turn comes;
+    /// outcomes are reassembled into plan order. An error aborts the
+    /// failing shard's tail and every not-yet-executed shard;
+    /// completed shards keep their effects.
     fn complete_into(
         &mut self,
         handle: BatchHandle,
         out: &mut Vec<(Page, FetchOutcome)>,
     ) -> IrResult<()> {
-        ShardedBufferPool::complete_into(self, handle, out)
+        self.settle(&handle);
+        out.clear();
+        let plan = &handle.plan;
+        if let Some(s) = self.single_shard_of(plan) {
+            return self.serve_on_shard(s, plan.entries(), out);
+        }
+        let mut groups: Vec<Vec<(usize, PlanEntry)>> = vec![Vec::new(); self.shards.len()];
+        for (i, entry) in plan.iter().enumerate() {
+            groups[self.shard_of(entry.page)].push((i, *entry));
+        }
+        let touched: Vec<usize> = (0..groups.len())
+            .filter(|&s| !groups[s].is_empty())
+            .collect();
+        if touched.len() > 1 {
+            self.metrics.batch_splits.inc();
+        }
+        let mut slots: Vec<Option<(Page, FetchOutcome)>> = vec![None; plan.len()];
+        for s in touched {
+            let group = &groups[s];
+            let sub: Vec<PlanEntry> = group.iter().map(|(_, e)| *e).collect();
+            self.shards[s].metrics.record_batch(sub.len());
+            let mut served = Vec::with_capacity(sub.len());
+            self.serve_on_shard(s, &sub, &mut served)?;
+            for ((plan_idx, _), result) in group.iter().zip(served) {
+                slots[*plan_idx] = Some(result);
+            }
+        }
+        out.reserve(slots.len());
+        for slot in slots {
+            out.push(slot.expect("every plan entry belongs to exactly one shard"));
+        }
+        Ok(())
     }
 
+    /// Abandons a submission: pins and in-flight counts come off under
+    /// the owning shard's lock, nothing is fetched.
     fn cancel_batch(&mut self, handle: BatchHandle) {
-        ShardedBufferPool::cancel_batch(self, handle);
+        self.settle(&handle);
     }
 
+    /// Read once at construction: every shard shares one store, whose
+    /// queue depth is a constant.
     fn overlap_depth(&self) -> usize {
-        ShardedBufferPool::overlap_depth(self)
+        self.overlap_depth
     }
 
     fn plan_alignment(&self) -> Option<u32> {
@@ -1000,7 +911,7 @@ mod tests {
         // 64 frames = 16 per shard: even if every page hashed to one
         // shard nothing would evict, so the counters are exact.
         let s = store(2, 8);
-        let pool = ShardedBufferPool::new(Arc::clone(&s), 64, PolicyKind::Lru, 4).unwrap();
+        let mut pool = ShardedBufferPool::new(Arc::clone(&s), 64, PolicyKind::Lru, 4).unwrap();
         for t in 0..2 {
             for p in 0..8 {
                 pool.fetch(pid(t, p)).unwrap();
@@ -1028,7 +939,7 @@ mod tests {
 
     #[test]
     fn single_shard_batch_is_one_critical_section() {
-        let pool = ShardedBufferPool::new(store(1, 6), 8, PolicyKind::Lru, 1).unwrap();
+        let mut pool = ShardedBufferPool::new(store(1, 6), 8, PolicyKind::Lru, 1).unwrap();
         let plan = ReadPlan::for_term_pages(TermId(0), 6, None);
         let out = pool.fetch_batch(&plan).unwrap();
         assert_eq!(out.len(), 6);
@@ -1042,7 +953,7 @@ mod tests {
         // chunk_pages = 1 pins the original per-page scatter, so this
         // plan deterministically spans several shards (headroom per
         // shard: no eviction regardless of hash skew).
-        let pool =
+        let mut pool =
             ShardedBufferPool::with_chunk_pages(store(2, 8), 32, PolicyKind::Lru, 4, 1).unwrap();
         let mut plan = ReadPlan::new();
         for p in 0..8 {
@@ -1063,7 +974,7 @@ mod tests {
 
     #[test]
     fn striped_rap_announcement_reaches_every_shard() {
-        let pool = ShardedBufferPool::new(store(2, 4), 8, PolicyKind::Rap, 2).unwrap();
+        let mut pool = ShardedBufferPool::new(store(2, 4), 8, PolicyKind::Rap, 2).unwrap();
         let w: HashMap<TermId, f64> = [(TermId(0), 1.0)].into_iter().collect();
         pool.begin_query(&w);
         for p in 0..4 {
@@ -1083,7 +994,7 @@ mod tests {
         // 8 frames hold all 8 pages; fetch 4 more term-0 pages of a
         // bigger store to create pressure.
         let s2 = store(2, 8);
-        let pool2 = ShardedBufferPool::new(s2, 6, PolicyKind::Rap, 2).unwrap();
+        let mut pool2 = ShardedBufferPool::new(s2, 6, PolicyKind::Rap, 2).unwrap();
         pool2.begin_query(&w);
         for p in 0..4 {
             pool2.fetch(pid(0, p)).unwrap();
@@ -1107,7 +1018,7 @@ mod tests {
         let pool = ShardedBufferPool::new(store(4, 8), 128, PolicyKind::Lru, 4).unwrap();
         crossbeam::thread::scope(|scope| {
             for t in 0..4u32 {
-                let handle = pool.clone();
+                let mut handle = pool.clone();
                 scope.spawn(move |_| {
                     for _ in 0..3 {
                         for p in 0..8 {
@@ -1140,7 +1051,7 @@ mod tests {
             ..FaultConfig::DISABLED
         };
         let faulty = Arc::new(FaultStore::new(store(1, 8), cfg));
-        let pool = ShardedBufferPool::new(faulty, 8, PolicyKind::Lru, 4).unwrap();
+        let mut pool = ShardedBufferPool::new(faulty, 8, PolicyKind::Lru, 4).unwrap();
         let plan = ReadPlan::for_term_pages(TermId(0), 8, None);
         // Every read faults and there are no retries: the first
         // touched shard's first entry fails, later shards never run.
@@ -1151,7 +1062,7 @@ mod tests {
 
     #[test]
     fn merged_dump_sums_shards_and_appends_contention() {
-        let pool = ShardedBufferPool::new(store(2, 8), 64, PolicyKind::Lru, 4).unwrap();
+        let mut pool = ShardedBufferPool::new(store(2, 8), 64, PolicyKind::Lru, 4).unwrap();
         for t in 0..2 {
             for p in 0..8 {
                 pool.fetch(pid(t, p)).unwrap();
@@ -1179,7 +1090,7 @@ mod tests {
     fn term_routed_scan_locks_one_shard() {
         // 64 frames / 4 shards → chunk_pages = 8: a whole-list prefix
         // scan of any term routes to exactly one shard, cold or warm.
-        let pool = ShardedBufferPool::new(store(4, 8), 64, PolicyKind::Lru, 4).unwrap();
+        let mut pool = ShardedBufferPool::new(store(4, 8), 64, PolicyKind::Lru, 4).unwrap();
         assert_eq!(pool.chunk_pages(), 8);
         for t in 0..4 {
             let plan = ReadPlan::for_term_pages(TermId(t), 8, None);
@@ -1205,7 +1116,7 @@ mod tests {
         // chunk_pages = 2 over a 8-page list: chunks {0,1},{2,3},{4,5},
         // {6,7} may land on different shards, and the plan reassembles
         // in plan order with one split at most.
-        let pool =
+        let mut pool =
             ShardedBufferPool::with_chunk_pages(store(1, 8), 32, PolicyKind::Lru, 4, 2).unwrap();
         for p in 0..8 {
             assert_eq!(
@@ -1236,7 +1147,7 @@ mod tests {
                 self.0.lock().unwrap().push(event);
             }
         }
-        let pool = ShardedBufferPool::new(store(1, 4), 8, PolicyKind::Lru, 1).unwrap();
+        let mut pool = ShardedBufferPool::new(store(1, 4), 8, PolicyKind::Lru, 1).unwrap();
         let log = SharedLog::default();
         pool.with_shard(0, |bm| bm.set_observer(Box::new(log.clone())));
         pool.fetch(pid(0, 0)).unwrap(); // miss: exclusive path
@@ -1254,7 +1165,7 @@ mod tests {
 
     #[test]
     fn resident_pages_many_matches_per_term_loop() {
-        let pool = ShardedBufferPool::new(store(4, 8), 64, PolicyKind::Lru, 4).unwrap();
+        let mut pool = ShardedBufferPool::new(store(4, 8), 64, PolicyKind::Lru, 4).unwrap();
         for t in 0..3 {
             for p in 0..(t + 2).min(8) {
                 pool.fetch(pid(t, p)).unwrap();
@@ -1273,8 +1184,8 @@ mod tests {
         // the other the split-phase pair. After quiesce, counters and
         // store traffic must be identical.
         let (sa, sb) = (store(4, 8), store(4, 8));
-        let blocking = ShardedBufferPool::new(Arc::clone(&sa), 64, PolicyKind::Lru, 4).unwrap();
-        let split = ShardedBufferPool::new(Arc::clone(&sb), 64, PolicyKind::Lru, 4).unwrap();
+        let mut blocking = ShardedBufferPool::new(Arc::clone(&sa), 64, PolicyKind::Lru, 4).unwrap();
+        let mut split = ShardedBufferPool::new(Arc::clone(&sb), 64, PolicyKind::Lru, 4).unwrap();
         for t in 0..4 {
             let plan = ReadPlan::for_term_pages(TermId(t), 8, None);
             blocking.fetch_batch(&plan).unwrap();
@@ -1296,7 +1207,8 @@ mod tests {
 
     #[test]
     fn submission_counts_in_flight_toward_bt_until_complete() {
-        let pool = ShardedBufferPool::new(overlapping_store(4, 8), 64, PolicyKind::Lru, 4).unwrap();
+        let mut pool =
+            ShardedBufferPool::new(overlapping_store(4, 8), 64, PolicyKind::Lru, 4).unwrap();
         let plan = ReadPlan::for_term_pages(TermId(1), 8, None);
         let handle = pool.submit_batch(plan).unwrap();
         assert_eq!(handle.loading.len(), 8);
@@ -1324,7 +1236,7 @@ mod tests {
         // chunk_pages = 1 scatters an 8-page list over shards, so the
         // submission schedules nothing and completion is the ordinary
         // cross-shard batch.
-        let pool =
+        let mut pool =
             ShardedBufferPool::with_chunk_pages(store(1, 8), 32, PolicyKind::Lru, 4, 1).unwrap();
         let plan = ReadPlan::for_term_pages(TermId(0), 8, None);
         let handle = pool.submit_batch(plan).unwrap();
@@ -1338,7 +1250,8 @@ mod tests {
 
     #[test]
     fn cancelled_submission_releases_pins_and_bt() {
-        let pool = ShardedBufferPool::new(overlapping_store(2, 8), 64, PolicyKind::Lru, 4).unwrap();
+        let mut pool =
+            ShardedBufferPool::new(overlapping_store(2, 8), 64, PolicyKind::Lru, 4).unwrap();
         let handle = pool
             .submit_batch(ReadPlan::for_term_pages(TermId(0), 4, None))
             .unwrap();
@@ -1367,7 +1280,7 @@ mod tests {
 
     #[test]
     fn contended_lock_wait_records_nanoseconds() {
-        let pool = ShardedBufferPool::new(store(1, 4), 8, PolicyKind::Lru, 1).unwrap();
+        let mut pool = ShardedBufferPool::new(store(1, 4), 8, PolicyKind::Lru, 1).unwrap();
         pool.fetch(pid(0, 0)).unwrap();
         let barrier = std::sync::Barrier::new(2);
         crossbeam::thread::scope(|scope| {

@@ -34,6 +34,17 @@ use std::sync::Arc;
 /// (one partition of a [`PartitionedBuffer`]) and
 /// [`ShardedBufferPool`](crate::ShardedBufferPool) (lock-striped pool);
 /// the evaluation algorithms in `ir-core` are generic over it.
+///
+/// There is one fetch protocol: split-phase
+/// [`submit_batch`](Self::submit_batch) /
+/// [`complete_into`](Self::complete_into). A pool implements that pair
+/// (plus [`cancel_batch`](Self::cancel_batch), `b_t`, query
+/// announcement and statistics); every blocking form —
+/// [`fetch`](Self::fetch), [`fetch_traced`](Self::fetch_traced),
+/// [`fetch_batch`](Self::fetch_batch),
+/// [`fetch_batch_into`](Self::fetch_batch_into),
+/// [`complete`](Self::complete) — is a provided method over it, and no
+/// pool in this workspace overrides them.
 pub trait QueryBuffer {
     /// Fetches a page, counting a hit or a disk read.
     fn fetch(&mut self, id: PageId) -> IrResult<Page> {
@@ -44,89 +55,102 @@ pub trait QueryBuffer {
     /// The outcome is observed inside the fetch's own critical
     /// section, so attribution is exact for the calling session even
     /// when other sessions hammer the same pool concurrently.
-    fn fetch_traced(&mut self, id: PageId) -> IrResult<(Page, FetchOutcome)>;
+    ///
+    /// A single page is never a batch: the one-entry plan is completed
+    /// without being submitted, so no batch is counted.
+    fn fetch_traced(&mut self, id: PageId) -> IrResult<(Page, FetchOutcome)> {
+        let mut out = Vec::with_capacity(1);
+        self.complete_into(BatchHandle::unscheduled(ReadPlan::single(id)), &mut out)?;
+        Ok(out.pop().expect("a one-entry plan yields one result"))
+    }
 
     /// Executes a [`ReadPlan`], serving every entry in plan order and
-    /// reporting each entry's outcome. Shared implementations take
-    /// their lock **once for the whole batch**, so a plan is a single
-    /// critical section rather than one per page.
-    ///
-    /// Deliberately **no default**: an earlier default degraded to
-    /// per-entry [`fetch_traced`](Self::fetch_traced), silently losing
-    /// vectored reads, value hints, and batch accounting for any
-    /// implementor that forgot to override it. A missing
-    /// implementation is now a compile error.
-    fn fetch_batch(&mut self, plan: &ReadPlan) -> IrResult<Vec<(Page, FetchOutcome)>>;
+    /// reporting each entry's outcome: submit, then complete at once.
+    fn fetch_batch(&mut self, plan: &ReadPlan) -> IrResult<Vec<(Page, FetchOutcome)>> {
+        let mut out = Vec::with_capacity(plan.len());
+        self.fetch_batch_into(plan, &mut out)?;
+        Ok(out)
+    }
 
     /// [`fetch_batch`](Self::fetch_batch) writing into a caller-owned
     /// buffer (cleared first), so a per-query scan loop can reuse one
     /// scratch vector instead of allocating a fresh result per term.
-    /// The default allocates through [`fetch_batch`](Self::fetch_batch)
-    /// and moves the results over; pool implementations override it
-    /// with a genuinely allocation-free forward.
     fn fetch_batch_into(
         &mut self,
         plan: &ReadPlan,
         out: &mut Vec<(Page, FetchOutcome)>,
     ) -> IrResult<()> {
-        let served = self.fetch_batch(plan)?;
-        out.clear();
-        out.extend(served);
-        Ok(())
+        let handle = self.submit_batch(plan.clone())?;
+        self.complete_into(handle, out)
     }
 
-    /// Hints that the tail of `plan` is about to be demanded, so a
-    /// latency-modeling store can start those transfers while the
-    /// caller computes on the plan's head. Purely advisory — the
-    /// default does nothing, and no counter, event, or residency
-    /// state may change on this path. Implementors forward to
-    /// [`PageStore::prefetch`](crate::PageStore::prefetch) where they
-    /// have a store to forward to.
+    /// Kept for implementors outside this workspace: nothing in the
+    /// workspace calls it, and no pool implements it. Overlap happens
+    /// on [`submit_batch`](Self::submit_batch), which hands a
+    /// latency-modeling store the whole plan.
     fn prefetch(&mut self, _plan: &ReadPlan) {}
 
-    /// Split-phase fetch, submission half: starts `plan`'s store
-    /// transfers (where the store can overlap at all) and returns a
-    /// [`BatchHandle`] the caller later passes to
-    /// [`complete`](Self::complete). Between the two calls the
+    /// Split-phase fetch, submission half: counts the batch, starts
+    /// `plan`'s store transfers (where the store can overlap at all)
+    /// and returns a [`BatchHandle`] the caller later passes to
+    /// [`complete_into`](Self::complete_into). Between the two calls the
     /// submission's pages are pinned (an in-flight page is never a
     /// replacement victim) and its non-resident pages count toward
     /// their term's `b_t`, so a concurrent term selector sees the
     /// pages the pool has already committed to load.
     ///
-    /// The default schedules nothing and pins nothing — it just wraps
-    /// the plan — so for any implementor that keeps the defaults,
-    /// submit + complete is *literally* a blocking
-    /// [`fetch_batch_into`](Self::fetch_batch_into). Implementations
-    /// that do schedule must preserve that equivalence whenever the
-    /// store cannot overlap (queue depth ≤ 1): same events, same
-    /// counters, same store traffic.
+    /// The default schedules nothing, pins nothing and counts nothing
+    /// — it just wraps the plan. Implementations that do schedule must
+    /// keep submit + complete event-identical to a back-to-back pair
+    /// whenever the store cannot overlap (queue depth ≤ 1): same
+    /// events, same counters, same store traffic.
     fn submit_batch(&mut self, plan: ReadPlan) -> IrResult<BatchHandle> {
         Ok(BatchHandle::unscheduled(plan))
     }
 
-    /// Split-phase fetch, completion half: waits for (or performs) the
-    /// submitted reads and serves every plan entry **in plan order**,
-    /// exactly like [`fetch_batch`](Self::fetch_batch). Consumes the
-    /// handle — a submission completes exactly once. Transient
-    /// failures (torn pages, injected faults) are retried *here*,
-    /// under the pool's `FetchPolicy`, never leaked to the caller as
-    /// phantom handles.
+    /// [`complete_into`](Self::complete_into) allocating its result.
     fn complete(&mut self, handle: BatchHandle) -> IrResult<Vec<(Page, FetchOutcome)>> {
         let mut out = Vec::with_capacity(handle.len());
         self.complete_into(handle, &mut out)?;
         Ok(out)
     }
 
-    /// [`complete`](Self::complete) writing into a caller-owned buffer
-    /// (cleared first) — the scratch-reuse form, mirroring
-    /// [`fetch_batch_into`](Self::fetch_batch_into).
+    /// Split-phase fetch, completion half — the one fetch primitive
+    /// every pool must implement: waits for (or performs) the
+    /// submitted reads and serves every plan entry **in plan order**
+    /// into `out` (cleared first; on error it holds the entries served
+    /// before the failure, whose effects stand). Consumes the handle —
+    /// a submission completes exactly once. Transient failures (torn
+    /// pages, injected faults) are retried *here*, under the pool's
+    /// `FetchPolicy`, never leaked to the caller as phantom handles.
+    ///
+    /// Deliberately **no default**: a default that looped over single
+    /// fetches would silently lose vectored reads, value hints and the
+    /// pool's own locking for any implementor that forgot the batch
+    /// primitive. A missing implementation is a compile error:
+    ///
+    /// ```compile_fail,E0046
+    /// use ir_storage::{BufferStats, QueryBuffer};
+    /// use ir_types::TermId;
+    /// use std::collections::HashMap;
+    ///
+    /// struct NoBatchPrimitive;
+    ///
+    /// impl QueryBuffer for NoBatchPrimitive {
+    ///     fn resident_pages(&self, _: TermId) -> u32 {
+    ///         0
+    ///     }
+    ///     fn begin_query(&mut self, _: &HashMap<TermId, f64>) {}
+    ///     fn stats(&self) -> BufferStats {
+    ///         BufferStats::default()
+    ///     }
+    /// }
+    /// ```
     fn complete_into(
         &mut self,
         handle: BatchHandle,
         out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        self.fetch_batch_into(&handle.plan, out)
-    }
+    ) -> IrResult<()>;
 
     /// Abandons a submission without serving it: releases the pins and
     /// the in-flight `b_t` counts the submission took, performing no
@@ -178,68 +202,6 @@ pub trait QueryBuffer {
     }
 }
 
-impl<S: PageStore> QueryBuffer for BufferManager<S> {
-    fn fetch(&mut self, id: PageId) -> IrResult<Page> {
-        BufferManager::fetch(self, id)
-    }
-
-    fn fetch_traced(&mut self, id: PageId) -> IrResult<(Page, FetchOutcome)> {
-        BufferManager::fetch_traced(self, id)
-    }
-
-    fn fetch_batch(&mut self, plan: &ReadPlan) -> IrResult<Vec<(Page, FetchOutcome)>> {
-        BufferManager::fetch_batch(self, plan)
-    }
-
-    fn fetch_batch_into(
-        &mut self,
-        plan: &ReadPlan,
-        out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        BufferManager::fetch_batch_into(self, plan, out)
-    }
-
-    fn prefetch(&mut self, plan: &ReadPlan) {
-        BufferManager::prefetch(self, plan);
-    }
-
-    fn submit_batch(&mut self, plan: ReadPlan) -> IrResult<BatchHandle> {
-        BufferManager::submit_batch(self, plan)
-    }
-
-    fn complete_into(
-        &mut self,
-        handle: BatchHandle,
-        out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        BufferManager::complete_into(self, handle, out)
-    }
-
-    fn cancel_batch(&mut self, handle: BatchHandle) {
-        BufferManager::cancel_batch(self, handle);
-    }
-
-    fn overlap_depth(&self) -> usize {
-        BufferManager::overlap_depth(self)
-    }
-
-    fn resident_pages(&self, term: TermId) -> u32 {
-        BufferManager::resident_pages(self, term)
-    }
-
-    fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
-        BufferManager::begin_query(self, weights);
-    }
-
-    fn stats(&self) -> BufferStats {
-        BufferManager::stats(self)
-    }
-
-    fn borrows(&self) -> u64 {
-        BufferManager::borrows(self)
-    }
-}
-
 /// The generic locking adapter: any value behind an `Arc<Mutex<_>>`,
 /// cloneable into one handle per session, usable from any thread.
 ///
@@ -281,32 +243,6 @@ impl<T> Shared<T> {
 /// including a whole [`ReadPlan`] batch — is one lock acquisition on
 /// the wrapped pool.
 impl<T: QueryBuffer> QueryBuffer for Shared<T> {
-    fn fetch(&mut self, id: PageId) -> IrResult<Page> {
-        self.inner.lock().fetch(id)
-    }
-
-    fn fetch_traced(&mut self, id: PageId) -> IrResult<(Page, FetchOutcome)> {
-        self.inner.lock().fetch_traced(id)
-    }
-
-    fn fetch_batch(&mut self, plan: &ReadPlan) -> IrResult<Vec<(Page, FetchOutcome)>> {
-        // One lock acquisition for the whole plan: the batch is the
-        // critical section, not each page.
-        self.inner.lock().fetch_batch(plan)
-    }
-
-    fn fetch_batch_into(
-        &mut self,
-        plan: &ReadPlan,
-        out: &mut Vec<(Page, FetchOutcome)>,
-    ) -> IrResult<()> {
-        self.inner.lock().fetch_batch_into(plan, out)
-    }
-
-    fn prefetch(&mut self, plan: &ReadPlan) {
-        self.inner.lock().prefetch(plan);
-    }
-
     fn submit_batch(&mut self, plan: ReadPlan) -> IrResult<BatchHandle> {
         self.inner.lock().submit_batch(plan)
     }
@@ -316,8 +252,8 @@ impl<T: QueryBuffer> QueryBuffer for Shared<T> {
         handle: BatchHandle,
         out: &mut Vec<(Page, FetchOutcome)>,
     ) -> IrResult<()> {
-        // One lock acquisition for the whole completion, mirroring
-        // fetch_batch: the batch is the critical section.
+        // One lock acquisition for the whole completion: the batch is
+        // the critical section, not each page.
         self.inner.lock().complete_into(handle, out)
     }
 
@@ -442,16 +378,16 @@ impl<S: PageStore> Clone for PartitionHandle<S> {
 }
 
 impl<S: PageStore> QueryBuffer for PartitionHandle<S> {
-    fn fetch(&mut self, id: PageId) -> IrResult<Page> {
-        self.pool.with(|p| p.fetch(self.pid, id))
+    fn submit_batch(&mut self, plan: ReadPlan) -> IrResult<BatchHandle> {
+        self.pool.with(|p| p.submit_batch(self.pid, plan))
     }
 
-    fn fetch_traced(&mut self, id: PageId) -> IrResult<(Page, FetchOutcome)> {
-        self.pool.with(|p| p.fetch_traced(self.pid, id))
-    }
-
-    fn fetch_batch(&mut self, plan: &ReadPlan) -> IrResult<Vec<(Page, FetchOutcome)>> {
-        self.pool.with(|p| p.fetch_batch(self.pid, plan))
+    fn complete_into(
+        &mut self,
+        handle: BatchHandle,
+        out: &mut Vec<(Page, FetchOutcome)>,
+    ) -> IrResult<()> {
+        self.pool.with(|p| p.complete_into(self.pid, handle, out))
     }
 
     fn resident_pages(&self, term: TermId) -> u32 {

@@ -146,6 +146,13 @@ impl BufferMetrics {
         }
     }
 
+    /// Records one submitted batch of `pages` plan entries — the one
+    /// place every pool layer counts a batch, at submission.
+    pub(crate) fn record_batch(&self, pages: usize) {
+        self.batches.inc();
+        self.batch_pages.record(pages as u64);
+    }
+
     /// The classic four-counter snapshot: `misses` is exactly `loads`
     /// (every miss that completed read one page; borrows are hits by
     /// construction) and `evictions` merges the head/tail split.

@@ -6,7 +6,7 @@
 
 use ir_storage::{
     BufferEvent, BufferManager, BufferObserver, DiskSim, EventCounts, FaultConfig, FaultStore,
-    FetchOutcome, FetchPolicy, Page, PageStore, PolicyKind,
+    FetchOutcome, FetchPolicy, Page, PageStore, PolicyKind, QueryBuffer,
 };
 use ir_types::{PageId, PlanEntry, Posting, ReadPlan, TermId};
 use proptest::{collection, proptest, ProptestConfig};

@@ -2,7 +2,7 @@
 
 use buffir::core::{rank, Accumulators, Query};
 use buffir::index::{decode_postings, encode_postings, ConversionTable};
-use buffir::storage::{BufferManager, DiskSim, Page, PolicyKind};
+use buffir::storage::{BufferManager, DiskSim, Page, PolicyKind, QueryBuffer};
 use buffir::text::stem;
 use ir_types::{frequency_order, DocId, PageId, Posting, TermId};
 use proptest::prelude::*;
