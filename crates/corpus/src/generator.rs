@@ -5,7 +5,6 @@ use crate::query::TopicQuery;
 use crate::words::term_name;
 use crate::zipf::Zipf;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// One TREC-like topic: an ordered list of salient terms (most salient
 /// first) with query frequencies, plus the topical concentration its
@@ -74,6 +73,7 @@ impl Corpus {
         let mut doc_topics = Vec::with_capacity(config.n_docs as usize);
         let mut relevant: Vec<Vec<u32>> = vec![Vec::new(); topics.len()];
         let mu = (config.mean_doc_tokens as f64).ln() - config.doc_length_sigma.powi(2) / 2.0;
+        let mut counts = TokenCounts::new(config.vocab_size);
 
         for d in 0..config.n_docs {
             // Document length: log-normal, at least 5 tokens.
@@ -92,7 +92,6 @@ impl Corpus {
                 }
             }
 
-            let mut counts: HashMap<u32, u32> = HashMap::with_capacity(len);
             // Topical tokens first.
             let mut topical_total = 0usize;
             for &t in &assigned {
@@ -101,21 +100,17 @@ impl Corpus {
                     ((topic.concentration * len as f64).round() as usize).min(len - topical_total);
                 for _ in 0..n {
                     let pos = burst[t as usize].sample(&mut rng) as usize;
-                    let rank = topic.salient[pos].0;
-                    *counts.entry(rank).or_insert(0) += 1;
+                    counts.add(topic.salient[pos].0);
                 }
                 topical_total += n;
                 relevant[t as usize].push(d);
             }
             // Background tokens.
             for _ in topical_total..len {
-                let rank = background.sample(&mut rng);
-                *counts.entry(rank).or_insert(0) += 1;
+                counts.add(background.sample(&mut rng));
             }
 
-            let mut bag: Vec<(u32, u32)> = counts.into_iter().collect();
-            bag.sort_unstable();
-            docs.push(bag);
+            docs.push(counts.take_bag());
             doc_topics.push(assigned);
         }
         for r in relevant.iter_mut() {
@@ -218,6 +213,42 @@ impl Corpus {
     }
 }
 
+/// One document's token counts by rank: a dense count per rank plus
+/// the ranks touched so far, so a document costs its own tokens, not
+/// the vocabulary, and the arrays are reused across documents.
+struct TokenCounts {
+    counts: Vec<u32>,
+    touched: Vec<u32>,
+}
+
+impl TokenCounts {
+    fn new(vocab_size: u32) -> Self {
+        TokenCounts {
+            counts: vec![0; vocab_size as usize],
+            touched: Vec::new(),
+        }
+    }
+
+    fn add(&mut self, rank: u32) {
+        let c = &mut self.counts[rank as usize];
+        if *c == 0 {
+            self.touched.push(rank);
+        }
+        *c += 1;
+    }
+
+    /// The document's `(rank, count)` bag in rank order; resets the
+    /// counts for the next document.
+    fn take_bag(&mut self) -> Vec<(u32, u32)> {
+        self.touched.sort_unstable();
+        let counts = &mut self.counts;
+        self.touched
+            .drain(..)
+            .map(|rank| (rank, std::mem::take(&mut counts[rank as usize])))
+            .collect()
+    }
+}
+
 /// Standard normal via Box–Muller (rand's distribution crates are
 /// outside the allowed dependency set).
 fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
@@ -242,6 +273,31 @@ mod tests {
         assert_eq!(a.docs, b.docs);
         assert_eq!(a.doc_topics, b.doc_topics);
         assert_eq!(a.total_postings(), b.total_postings());
+    }
+
+    /// A fingerprint of the tiny preset's documents and topic
+    /// assignments, pinned so a faster generator cannot change the
+    /// corpus it draws.
+    #[test]
+    fn tiny_corpus_fingerprint_is_pinned() {
+        let c = tiny();
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |v: u64| {
+            for b in v.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x1_0000_01b3);
+            }
+        };
+        for (doc, topics) in c.docs.iter().zip(&c.doc_topics) {
+            mix(doc.len() as u64);
+            for &(rank, f) in doc {
+                mix((u64::from(rank) << 32) | u64::from(f));
+            }
+            for &t in topics {
+                mix(u64::from(t));
+            }
+        }
+        assert_eq!(h, 0x93e5_2f65_831d_5c0c);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! Term popularity in text famously follows a Zipf law with exponent
 //! ≈ 1; that single fact reproduces the paper's index geometry (see the
 //! crate docs). The sampler precomputes the cumulative distribution
-//! once and draws by binary search — O(log V) per token, deterministic
-//! given the RNG. We implement it here rather than pull in a
+//! once and draws by binary search — deterministic given the RNG. A
+//! guide table narrows each search to the ranks whose cumulative
+//! weight falls in the draw's bucket, so a draw costs a short search
+//! and returns exactly the rank a full search would. We implement it here rather than pull in a
 //! distributions crate (the allowed dependency set has `rand` only).
 
 use rand::Rng;
@@ -16,7 +18,15 @@ pub struct Zipf {
     lo: u32,
     /// Cumulative weights for ranks `lo..hi`, normalized to end at 1.
     cdf: Vec<f64>,
+    /// `guide[b]` = number of `cdf` entries below `b / B`, for
+    /// `b ∈ 0..=B` with `B = guide.len() - 1` a power of two. A draw
+    /// `u ∈ [b/B, (b+1)/B)` has its rank in `guide[b]..=guide[b+1]`;
+    /// the bounds `b/B` are exact in `f64`.
+    guide: Vec<u32>,
 }
+
+/// Most guide buckets a sampler gets (2^16).
+const MAX_GUIDE_BUCKETS: usize = 1 << 16;
 
 impl Zipf {
     /// Builds the sampler.
@@ -43,13 +53,26 @@ impl Zipf {
         if let Some(last) = cdf.last_mut() {
             *last = 1.0;
         }
-        Zipf { lo, cdf }
+        let buckets = cdf.len().next_power_of_two().min(MAX_GUIDE_BUCKETS);
+        let guide = (0..=buckets)
+            .map(|b| cdf.partition_point(|&c| c < b as f64 / buckets as f64) as u32)
+            .collect();
+        Zipf { lo, cdf, guide }
     }
 
     /// Draws one rank.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
-        let u: f64 = rng.gen();
-        let idx = self.cdf.partition_point(|&c| c < u);
+        self.rank_at(rng.gen())
+    }
+
+    /// The rank a uniform draw `u ∈ [0, 1)` maps to: the first whose
+    /// cumulative weight reaches `u`.
+    fn rank_at(&self, u: f64) -> u32 {
+        let buckets = self.guide.len() - 1;
+        // Scaling by a power of two is exact, so `b / B <= u < (b+1) / B`.
+        let b = ((u * buckets as f64) as usize).min(buckets - 1);
+        let (first, last) = (self.guide[b] as usize, self.guide[b + 1] as usize);
+        let idx = first + self.cdf[first..last].partition_point(|&c| c < u);
         self.lo + idx.min(self.cdf.len() - 1) as u32
     }
 
@@ -129,6 +152,44 @@ mod tests {
         };
         assert_eq!(draw(7), draw(7));
         assert_ne!(draw(7), draw(8));
+    }
+
+    /// The guided search returns the full binary search's rank at
+    /// every bucket boundary, its neighbouring floats, and 10^5 seeded
+    /// draws.
+    #[test]
+    fn guided_rank_equals_full_search() {
+        for z in [
+            Zipf::new(100, 167_117, 1.05),
+            Zipf::new(0, 77, 0.9),
+            Zipf::new(3, 4, 1.0),
+            Zipf::new(0, 1 << 16, 0.0),
+        ] {
+            let full = |u: f64| {
+                let idx = z.cdf.partition_point(|&c| c < u);
+                z.lo + idx.min(z.cdf.len() - 1) as u32
+            };
+            let buckets = z.guide.len() - 1;
+            let mut probes = Vec::new();
+            for b in 0..buckets {
+                let edge = b as f64 / buckets as f64;
+                probes.extend([edge, edge.next_up()]);
+                if b > 0 {
+                    probes.push(edge.next_down());
+                }
+            }
+            probes.push(1.0f64.next_down());
+            let mut rng = SmallRng::seed_from_u64(20260417);
+            probes.extend((0..100_000).map(|_| rng.gen::<f64>()));
+            for u in probes {
+                assert_eq!(
+                    z.rank_at(u),
+                    full(u),
+                    "u = {u:e}, support {}",
+                    z.support_len()
+                );
+            }
+        }
     }
 
     #[test]

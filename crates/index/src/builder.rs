@@ -15,17 +15,20 @@
 
 use crate::compress::{
     self, BulkVByteCodec, Codec, CompressionStats, GoldenCodec, ListCodec, RePairCodec,
+    RePairGrammar,
 };
 use crate::conversion::ConversionTable;
 use crate::docstats::DocStats;
 use crate::forward::ForwardIndex;
 use crate::index::InvertedIndex;
 use crate::lexicon::Lexicon;
+use bytes::Bytes;
 use ir_storage::{DiskSim, Page};
 use ir_types::{
     doc_order, frequency_order, DocId, IndexParams, IrError, IrResult, ListOrdering, PageId,
     Posting, TermId,
 };
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -41,7 +44,8 @@ pub struct BuildOptions {
     /// encode pass; reported via
     /// [`InvertedIndex::compression_stats`]).
     pub measure_compression: bool,
-    /// Sort/paginate inverted lists on multiple threads.
+    /// Sort (and measure) inverted lists on multiple threads; the
+    /// index is identical either way.
     pub parallel: bool,
     /// Retain a document → term-vector forward index (needed for
     /// relevance feedback; costs about as much memory as the postings).
@@ -221,177 +225,72 @@ impl IndexBuilder {
             ForwardIndex::new(docs)
         });
 
-        // 2-4. Per-term: stats, sort, paginate (parallelizable: terms
-        // are independent; W_d accumulation uses per-chunk partials).
-        let n_terms = postings.len();
+        // 2. Sort every list, measuring compression and keeping the
+        // golden encodings a Re-Pair grammar trains on (parallelizable:
+        // terms are independent, and these steps allocate nothing that
+        // outlives the build).
+        let ordering = options.params.ordering;
+        let encode = Encode {
+            measure: options.measure_compression,
+            train_repair: options.codec == Codec::RePair,
+        };
         let threads = if options.parallel {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(n_terms.max(1))
+            std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             1
         };
-
-        struct ChunkResult {
-            first_term: usize,
-            stats: Vec<(u32, f64, u32, u64, u32)>, // (doc_freq, idf, f_max, n_postings, n_pages)
-            pages: Vec<Vec<Page>>,
-            wd_sq: Vec<f64>,
-            compression: CompressionStats,
-        }
-
-        fn process_chunk(
-            first_term: usize,
-            lists: &mut [Vec<Posting>],
-            n_docs: u32,
-            page_size: usize,
-            measure_compression: bool,
-            ordering: ListOrdering,
-        ) -> ChunkResult {
-            let mut stats = Vec::with_capacity(lists.len());
-            let mut pages = Vec::with_capacity(lists.len());
-            let mut wd_sq = vec![0.0f64; n_docs as usize];
-            let mut compression = CompressionStats::default();
-            for (offset, list) in lists.iter_mut().enumerate() {
-                let term = TermId((first_term + offset) as u32);
-                let doc_freq = list.len() as u32;
-                if doc_freq == 0 {
-                    stats.push((0, 0.0, 0, 0, 0));
-                    pages.push(Vec::new());
-                    continue;
-                }
-                match ordering {
-                    ListOrdering::FrequencySorted => list.sort_unstable_by(frequency_order),
-                    ListOrdering::DocIdSorted => list.sort_unstable_by(doc_order),
-                }
-                let idf = ir_types::weights::idf(n_docs, doc_freq);
-                let f_max = list.iter().map(|p| p.freq).max().unwrap_or(0);
-                for p in list.iter() {
-                    let w = ir_types::weights::term_weight(p.freq, idf);
-                    wd_sq[p.doc.index()] += w * w;
-                }
-                if measure_compression {
-                    match ordering {
-                        ListOrdering::FrequencySorted => compression.add(compress::measure(list)),
-                        ListOrdering::DocIdSorted => {
-                            // The codec requires frequency order; measure
-                            // on a sorted copy (sizes are what matter).
-                            let mut copy = list.clone();
-                            copy.sort_unstable_by(frequency_order);
-                            compression.add(compress::measure(&copy));
-                        }
-                    }
-                }
-                let term_pages: Vec<Page> = list
-                    .chunks(page_size)
-                    .enumerate()
-                    .map(|(i, chunk)| {
-                        Page::new(PageId::new(term, i as u32), chunk.to_vec().into(), idf)
-                    })
-                    .collect();
-                stats.push((
-                    doc_freq,
-                    idf,
-                    f_max,
-                    list.len() as u64,
-                    term_pages.len() as u32,
-                ));
-                pages.push(term_pages);
-            }
-            ChunkResult {
-                first_term,
-                stats,
-                pages,
-                wd_sq,
-                compression,
-            }
-        }
-
-        let ordering = options.params.ordering;
-        let chunk_size = n_terms.div_ceil(threads.max(1)).max(1);
-        let mut results: Vec<ChunkResult> = if threads <= 1 || n_terms < 2 * chunk_size {
-            vec![process_chunk(
-                0,
-                &mut postings,
-                n_docs,
-                page_size,
-                options.measure_compression,
-                ordering,
-            )]
-        } else {
-            let measure = options.measure_compression;
-            let mut out: Vec<ChunkResult> = Vec::new();
-            crossbeam::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (i, chunk) in postings.chunks_mut(chunk_size).enumerate() {
-                    let first = i * chunk_size;
-                    handles.push(scope.spawn(move |_| {
-                        process_chunk(first, chunk, n_docs, page_size, measure, ordering)
-                    }));
-                }
-                for h in handles {
-                    out.push(h.join().expect("index build worker panicked"));
-                }
-            })
-            .expect("index build scope failed");
-            out
-        };
-        results.sort_by_key(|r| r.first_term);
-
-        // Merge chunk results.
-        let mut lists: Vec<Vec<Page>> = Vec::with_capacity(n_terms);
-        let mut wd_sq = vec![0.0f64; n_docs as usize];
         let mut compression = CompressionStats::default();
-        for r in &mut results {
-            for (offset, (doc_freq, idf, f_max, n_postings, n_pages)) in
-                r.stats.iter().copied().enumerate()
-            {
-                let e = lexicon.entry_mut(TermId((r.first_term + offset) as u32));
-                e.doc_freq = doc_freq;
-                e.idf = idf;
-                e.f_max = f_max;
-                e.n_postings = n_postings;
-                e.n_pages = n_pages;
-            }
-            lists.append(&mut r.pages);
-            for (d, sq) in r.wd_sq.iter().enumerate() {
-                wd_sq[d] += sq;
-            }
-            compression.add(r.compression);
+        let mut golden: Vec<Bytes> = Vec::new();
+        for (c, g) in sort_lists(&mut postings, ordering, encode, threads) {
+            compression.add(c);
+            golden.extend(g);
         }
+
+        // 3-5. Per term, in term-id order: stats, pages, conversion row
+        // and W_d terms; each list is freed as soon as its pages exist.
+        let n_terms = postings.len();
+        let mut lists: Vec<Vec<Page>> = Vec::with_capacity(n_terms);
+        let mut conversion = ConversionTable::new(page_size, ordering);
+        let mut wd_sq = vec![0.0f64; n_docs as usize];
+        for (t, slot) in postings.iter_mut().enumerate() {
+            let term = TermId(t as u32);
+            let list = std::mem::take(slot);
+            conversion.push(&list);
+            if list.is_empty() {
+                lists.push(Vec::new());
+                continue;
+            }
+            let doc_freq = list.len() as u32;
+            let idf = ir_types::weights::idf(n_docs, doc_freq);
+            for p in &list {
+                let w = ir_types::weights::term_weight(p.freq, idf);
+                wd_sq[p.doc.index()] += w * w;
+            }
+            let pages: Vec<Page> = list
+                .chunks(page_size)
+                .enumerate()
+                .map(|(i, chunk)| Page::new(PageId::new(term, i as u32), Arc::from(chunk), idf))
+                .collect();
+            let e = lexicon.entry_mut(term);
+            e.doc_freq = doc_freq;
+            e.idf = idf;
+            e.f_max = list.iter().map(|p| p.freq).max().unwrap_or(0);
+            e.n_postings = list.len() as u64;
+            e.n_pages = pages.len() as u32;
+            lists.push(pages);
+        }
+        drop(postings);
+        lexicon.shrink_to_fit();
         let vector_lengths: Vec<f64> = wd_sq.into_iter().map(f64::sqrt).collect();
 
-        // 5. The BAF conversion table, from the sorted lists.
-        let conversion = ConversionTable::build_with_ordering(
-            postings.iter().map(|l| l.as_slice()),
-            page_size,
-            ordering,
-        );
-
         // 6. The persistence codec. Re-Pair trains its grammar on the
-        // sorted lists (frequency-sorted copies when the index keeps
-        // doc order, since the golden byte stream the grammar models
-        // requires frequency order).
+        // golden encodings of the sorted lists.
         let codec: Arc<dyn ListCodec> = match options.codec {
             Codec::Golden => Arc::new(GoldenCodec),
             Codec::BulkVByte => Arc::new(BulkVByteCodec),
-            Codec::RePair => match ordering {
-                ListOrdering::FrequencySorted => {
-                    Arc::new(RePairCodec::train(postings.iter().map(|l| l.as_slice())))
-                }
-                ListOrdering::DocIdSorted => {
-                    let sorted: Vec<Vec<Posting>> = postings
-                        .iter()
-                        .map(|l| {
-                            let mut copy = l.clone();
-                            copy.sort_unstable_by(frequency_order);
-                            copy
-                        })
-                        .collect();
-                    Arc::new(RePairCodec::train(sorted.iter().map(|l| l.as_slice())))
-                }
-            },
+            Codec::RePair => Arc::new(RePairCodec::new(RePairGrammar::train(
+                golden.iter().map(|b| b.as_ref()),
+            ))),
         };
 
         Ok(InvertedIndex::from_parts(
@@ -405,6 +304,94 @@ impl IndexBuilder {
             forward,
         ))
     }
+}
+
+/// What the sort pass encodes besides sorting.
+#[derive(Clone, Copy)]
+struct Encode {
+    /// Measure golden compression ([`BuildOptions::measure_compression`]).
+    measure: bool,
+    /// Keep each list's golden encoding for Re-Pair training.
+    train_repair: bool,
+}
+
+/// Sorts every list under `ordering` on up to `threads` threads, each
+/// taking a contiguous run of term ids holding about an equal share of
+/// the postings. Returns, per run in term-id order, the compression
+/// measured and the golden encodings kept (see [`Encode`]).
+fn sort_lists(
+    lists: &mut [Vec<Posting>],
+    ordering: ListOrdering,
+    encode: Encode,
+    threads: usize,
+) -> Vec<(CompressionStats, Vec<Bytes>)> {
+    let total: usize = lists.iter().map(Vec::len).sum();
+    let share = total.div_ceil(threads.max(1)).max(1);
+    let mut runs: Vec<&mut [Vec<Posting>]> = Vec::with_capacity(threads);
+    let mut rest = lists;
+    while !rest.is_empty() {
+        let mut len = 0;
+        let mut n = 0;
+        while n < rest.len() && (len < share || runs.len() + 1 == threads) {
+            len += rest[n].len();
+            n += 1;
+        }
+        let (run, tail) = std::mem::take(&mut rest).split_at_mut(n);
+        runs.push(run);
+        rest = tail;
+    }
+    if runs.len() <= 1 {
+        return runs
+            .into_iter()
+            .map(|r| sort_run(r, ordering, encode))
+            .collect();
+    }
+    crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = runs
+            .into_iter()
+            .map(|run| scope.spawn(move |_| sort_run(run, ordering, encode)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("index build worker panicked"))
+            .collect()
+    })
+    .expect("index build scope failed")
+}
+
+fn sort_run(
+    lists: &mut [Vec<Posting>],
+    ordering: ListOrdering,
+    encode: Encode,
+) -> (CompressionStats, Vec<Bytes>) {
+    let mut compression = CompressionStats::default();
+    let mut golden = Vec::new();
+    for list in lists {
+        match ordering {
+            ListOrdering::FrequencySorted => list.sort_unstable_by(frequency_order),
+            ListOrdering::DocIdSorted => list.sort_unstable_by(doc_order),
+        }
+        if !(encode.measure || encode.train_repair) {
+            continue;
+        }
+        // The codec requires frequency order; doc-ordered lists are
+        // encoded from a sorted copy.
+        let freq_sorted: Cow<'_, [Posting]> = match ordering {
+            ListOrdering::FrequencySorted => Cow::Borrowed(list),
+            ListOrdering::DocIdSorted => {
+                let mut copy = list.clone();
+                copy.sort_unstable_by(frequency_order);
+                Cow::Owned(copy)
+            }
+        };
+        if encode.measure && !list.is_empty() {
+            compression.add(compress::measure(&freq_sorted));
+        }
+        if encode.train_repair {
+            golden.push(compress::encode_postings(&freq_sorted));
+        }
+    }
+    (compression, golden)
 }
 
 #[cfg(test)]
@@ -542,6 +529,45 @@ mod tests {
     }
 
     #[test]
+    fn sort_runs_cover_every_list_for_any_thread_count() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(5);
+        let lists: Vec<Vec<Posting>> = (0..40)
+            .map(|t| {
+                let n = if t % 7 == 0 { 0 } else { rng.gen_range(1..60) };
+                (0..n)
+                    .map(|d| Posting::new(d, rng.gen_range(1..9)))
+                    .collect()
+            })
+            .collect();
+        let encode = Encode {
+            measure: true,
+            train_repair: true,
+        };
+        let run = |threads: usize| {
+            let mut sorted = lists.clone();
+            let runs = sort_lists(&mut sorted, ListOrdering::FrequencySorted, encode, threads);
+            assert!(runs.len() <= threads, "{threads} threads");
+            let mut compression = CompressionStats::default();
+            let mut golden = Vec::new();
+            for (c, g) in runs {
+                compression.add(c);
+                golden.extend(g);
+            }
+            (sorted, compression.compressed_bytes, golden)
+        };
+        let serial = run(1);
+        assert!(serial
+            .0
+            .iter()
+            .all(|l| l.is_sorted_by(|a, b| frequency_order(a, b).is_le())));
+        assert_eq!(serial.2.len(), lists.len());
+        for threads in 2..=9 {
+            assert!(run(threads) == serial, "{threads} threads");
+        }
+    }
+
+    #[test]
     fn parallel_and_serial_builds_agree() {
         use rand::{rngs::SmallRng, Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(11);
@@ -584,7 +610,7 @@ mod tests {
         for d in 0..serial.n_docs() {
             let w1 = serial.doc_stats().vector_length(DocId(d)).unwrap();
             let w2 = parallel.doc_stats().vector_length(DocId(d)).unwrap();
-            assert!((w1 - w2).abs() < 1e-9);
+            assert_eq!(w1.to_bits(), w2.to_bits(), "W_d of doc {d}");
         }
         assert_eq!(
             serial.compression_stats().unwrap().n_postings,

@@ -18,12 +18,15 @@
 
 use ir_types::{IrError, IrResult, ListOrdering, Posting, TermId};
 
-/// Per-term cumulative counts: `counts_gt[t][f]` = postings of term `t`
-/// with `f_{d,t} > f`, for `f ∈ 0..=f_max(t)` (so `counts_gt[t][0]` is
-/// the list length and `counts_gt[t][f_max]` is 0).
+/// Per-term cumulative counts, flat: term `t`'s row is
+/// `counts[ends[t-1]..ends[t]]` (`ends[-1]` = 0), where `row[f]` =
+/// postings of `t` with `f_{d,t} > f` for `f ∈ 0..=f_max(t)` — so
+/// `row[0]` is the list length and `row[f_max]` is 0. An empty list
+/// has the one-entry row `[0]`.
 #[derive(Debug, Default)]
 pub struct ConversionTable {
-    counts_gt: Vec<Vec<u64>>,
+    counts: Vec<u32>,
+    ends: Vec<u32>,
     page_size: usize,
     /// Doc-ordered lists cannot terminate early: any passing entry
     /// forces a full-list scan.
@@ -50,60 +53,88 @@ impl ConversionTable {
         page_size: usize,
         ordering: ListOrdering,
     ) -> Self {
+        let mut table = ConversionTable::new(page_size, ordering);
+        for postings in lists {
+            table.push(postings);
+        }
+        table
+    }
+
+    /// An empty table that [`push`](ConversionTable::push) fills one
+    /// term at a time, in term-id order.
+    ///
+    /// # Panics
+    /// Panics if `page_size` is zero.
+    pub(crate) fn new(page_size: usize, ordering: ListOrdering) -> Self {
         assert!(page_size > 0, "page_size must be positive");
-        let counts_gt = lists
-            .map(|postings| {
-                let f_max = postings.iter().map(|p| p.freq).max().unwrap_or(0) as usize;
-                // hist[f] = number of postings with frequency exactly f.
-                let mut hist = vec![0u64; f_max + 1];
-                for p in postings {
-                    debug_assert!(p.freq >= 1 && p.freq as usize <= f_max);
-                    hist[p.freq as usize] += 1;
-                }
-                // counts[f] = Σ_{g > f} hist[g], f ∈ 0..=f_max.
-                let mut counts = vec![0u64; f_max + 1];
-                for f in (0..f_max).rev() {
-                    counts[f] = counts[f + 1] + hist[f + 1];
-                }
-                counts
-            })
-            .collect();
         ConversionTable {
-            counts_gt,
+            counts: Vec::new(),
+            ends: Vec::new(),
             page_size,
             doc_ordered: ordering == ListOrdering::DocIdSorted,
         }
     }
 
+    /// Appends the row of the next term id, from its postings in any
+    /// order.
+    ///
+    /// # Panics
+    /// Panics if the table would exceed `u32::MAX` counts.
+    pub(crate) fn push(&mut self, postings: &[Posting]) {
+        let f_max = postings.iter().map(|p| p.freq).max().unwrap_or(0) as usize;
+        let start = self.counts.len();
+        // hist[f] = number of postings with frequency exactly f, built
+        // in place of the row.
+        self.counts.resize(start + f_max + 1, 0);
+        let row = &mut self.counts[start..];
+        for p in postings {
+            debug_assert!(p.freq >= 1 && p.freq as usize <= f_max);
+            row[p.freq as usize] += 1;
+        }
+        // row[f] = Σ_{g > f} hist[g], f ∈ 0..=f_max.
+        let mut above = 0u32;
+        for f in (0..=f_max).rev() {
+            let hist = row[f];
+            row[f] = above;
+            above += hist;
+        }
+        let end = u32::try_from(self.counts.len()).expect("conversion table exceeds u32 counts");
+        self.ends.push(end);
+    }
+
+    /// Term `term`'s row of cumulative counts.
+    fn row(&self, term: TermId) -> IrResult<&[u32]> {
+        let t = term.index();
+        let end = *self.ends.get(t).ok_or(IrError::UnknownTerm(term))? as usize;
+        let start = if t == 0 { 0 } else { self.ends[t - 1] as usize };
+        Ok(&self.counts[start..end])
+    }
+
     /// Number of postings of `term` with `f_{d,t}` strictly above
     /// `f_add`.
     pub fn postings_above(&self, term: TermId, f_add: f64) -> IrResult<u64> {
-        let counts = self
-            .counts_gt
-            .get(term.index())
-            .ok_or(IrError::UnknownTerm(term))?;
+        Ok(Self::above(self.row(term)?, f_add))
+    }
+
+    fn above(row: &[u32], f_add: f64) -> u64 {
         if f_add < 0.0 {
-            return Ok(counts.first().copied().unwrap_or(0));
+            return u64::from(row.first().copied().unwrap_or(0));
         }
         if !f_add.is_finite() {
-            return Ok(0);
+            return 0;
         }
         // Integer frequencies: f > f_add  ⟺  f ≥ ⌊f_add⌋ + 1.
         let f = f_add.floor() as usize;
-        Ok(counts.get(f).copied().unwrap_or(0))
+        u64::from(row.get(f).copied().unwrap_or(0))
     }
 
     /// `p_t`: pages processed when scanning `term` under threshold
     /// `f_add` (0 when the whole list is below the threshold).
     pub fn pages_to_process(&self, term: TermId, f_add: f64) -> IrResult<u32> {
-        let counts = self
-            .counts_gt
-            .get(term.index())
-            .ok_or(IrError::UnknownTerm(term))?;
-        let total = counts.first().copied().unwrap_or(0);
-        let above = self.postings_above(term, f_add)?;
+        let row = self.row(term)?;
+        let total = u64::from(row.first().copied().unwrap_or(0));
         Ok(crate::scan_geometry::pages_for_scan(
-            above,
+            Self::above(row, f_add),
             total,
             self.page_size,
             !self.doc_ordered,
@@ -112,22 +143,18 @@ impl ConversionTable {
 
     /// Number of terms covered.
     pub fn len(&self) -> usize {
-        self.counts_gt.len()
+        self.ends.len()
     }
 
     /// `true` when empty.
     pub fn is_empty(&self) -> bool {
-        self.counts_gt.is_empty()
+        self.ends.is_empty()
     }
 
-    /// Approximate memory footprint in bytes (for the §3.2.2 size
-    /// discussion in reports).
+    /// Resident size in bytes (for the §3.2.2 size discussion in
+    /// reports): the two flat arrays.
     pub fn memory_bytes(&self) -> usize {
-        self.counts_gt
-            .iter()
-            .map(|c| c.len() * std::mem::size_of::<u64>())
-            .sum::<usize>()
-            + self.counts_gt.len() * std::mem::size_of::<Vec<u64>>()
+        (self.counts.len() + self.ends.len()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -213,6 +240,82 @@ mod tests {
     fn unknown_term_errors() {
         let t = table(&[&[(0, 1)]], 2);
         assert!(t.pages_to_process(TermId(9), 0.0).is_err());
+    }
+
+    /// Brute force: scan the stored list itself. The `f_max` test skips
+    /// the list outright; a frequency-sorted scan reads pages up to the
+    /// first failing entry, a doc-ordered one every page.
+    fn scan_pages(list: &[Posting], f_add: f64, page_size: usize, ordering: ListOrdering) -> u32 {
+        let passes = |p: &Posting| f64::from(p.freq) > f_add;
+        if !list.iter().any(passes) {
+            return 0;
+        }
+        let n_pages = list.len().div_ceil(page_size) as u32;
+        match (ordering, list.iter().position(|p| !passes(p))) {
+            (ListOrdering::FrequencySorted, Some(i)) => (i / page_size) as u32 + 1,
+            _ => n_pages,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
+
+        /// The flat table answers like a scan of every stored list: both
+        /// orderings, empty lists, `f_max` up to 40, thresholds below
+        /// zero, fractional, past `f_max` and infinite.
+        #[test]
+        fn flat_table_matches_brute_force_scans(
+            raw in proptest::collection::vec(
+                proptest::collection::btree_map(0u32..500, 1u32..=40, 0..60),
+                1..8,
+            ),
+            page_size in 1usize..9,
+            doc_ordered in proptest::any::<bool>(),
+        ) {
+            let ordering = if doc_ordered {
+                ListOrdering::DocIdSorted
+            } else {
+                ListOrdering::FrequencySorted
+            };
+            let lists: Vec<Vec<Posting>> = raw
+                .iter()
+                .map(|l| {
+                    let mut v: Vec<Posting> = l.iter().map(|(&d, &f)| Posting::new(d, f)).collect();
+                    if !doc_ordered {
+                        v.sort_unstable_by(frequency_order);
+                    }
+                    v
+                })
+                .collect();
+            let table = ConversionTable::build_with_ordering(
+                lists.iter().map(|l| l.as_slice()),
+                page_size,
+                ordering,
+            );
+            assert_eq!(table.len(), lists.len());
+            for (t, list) in lists.iter().enumerate() {
+                let term = TermId(t as u32);
+                let f_max = list.iter().map(|p| p.freq).max().unwrap_or(0);
+                let mut thresholds = vec![-1.0, -0.5, f64::NEG_INFINITY, f64::INFINITY];
+                for f in 0..=f_max + 1 {
+                    thresholds.extend([f64::from(f), f64::from(f) + 0.5]);
+                }
+                for f_add in thresholds {
+                    let above = list.iter().filter(|p| f64::from(p.freq) > f_add).count();
+                    assert_eq!(
+                        table.postings_above(term, f_add).unwrap(),
+                        above as u64,
+                        "term {t} f_add {f_add}"
+                    );
+                    assert_eq!(
+                        table.pages_to_process(term, f_add).unwrap(),
+                        scan_pages(list, f_add, page_size, ordering),
+                        "term {t} f_add {f_add} {ordering:?}"
+                    );
+                }
+            }
+            assert!(table.postings_above(TermId(lists.len() as u32), 0.0).is_err());
+        }
     }
 
     #[test]

@@ -1,14 +1,19 @@
 //! The lexicon: memory-resident per-term metadata.
+//!
+//! Term names live once, back to back in one string arena, and the
+//! name → id index is an open-addressing table of `u32` ids that hashes
+//! and compares names through the arena. A term costs its name's bytes
+//! plus a 4-byte end offset, 4–8 bytes of table slot and its
+//! [`TermEntry`]; no per-term heap allocation is made.
 
 use ir_types::{IrError, IrResult, TermId};
 use serde::Serialize;
-use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 
-/// Per-term statistics, computed at index build time.
+/// Per-term statistics, computed at index build time. The term's name
+/// is [`Lexicon::name`].
 #[derive(Clone, Debug, Serialize)]
 pub struct TermEntry {
-    /// The (analyzed) term string.
-    pub name: String,
     /// `f_t`: number of documents containing the term.
     pub doc_freq: u32,
     /// `idf_t = log₂(N / f_t)` (Eq. 4).
@@ -26,10 +31,23 @@ pub struct TermEntry {
     pub stopped: bool,
 }
 
+/// Marks an empty slot of the name → id table.
+const EMPTY: u32 = u32::MAX;
+
 /// Term name ↔ id mapping plus per-term statistics.
 #[derive(Debug, Default)]
 pub struct Lexicon {
-    by_name: HashMap<String, TermId>,
+    /// Every term name, concatenated in id order.
+    names: String,
+    /// `ends[t]`: end offset of term `t`'s name in `names`.
+    ends: Vec<u32>,
+    /// Open-addressing name → id table (linear probing; a power-of-two
+    /// length kept at most half full, or empty before the first
+    /// intern). Slots hold a term id or [`EMPTY`].
+    slots: Vec<u32>,
+    /// Keyed per lexicon, since names come from outside the program;
+    /// ids and iteration order never depend on it.
+    hasher: RandomState,
     entries: Vec<TermEntry>,
 }
 
@@ -39,17 +57,61 @@ impl Lexicon {
         Lexicon::default()
     }
 
+    /// The name of term `id`.
+    ///
+    /// # Panics
+    /// Panics if `id` is not a term of this lexicon.
+    pub fn name(&self, id: TermId) -> &str {
+        let t = id.index();
+        let start = if t == 0 { 0 } else { self.ends[t - 1] as usize };
+        &self.names[start..self.ends[t] as usize]
+    }
+
+    /// The table slot holding `name`'s id, or the empty slot where it
+    /// would go. The table must be non-empty.
+    fn slot(&self, name: &str) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = self.hasher.hash_one(name.as_bytes()) as usize & mask;
+        loop {
+            let id = self.slots[i];
+            if id == EMPTY || self.name(TermId(id)) == name {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Doubles the table (or allocates the first one) and re-inserts
+    /// every id.
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(16);
+        self.slots = vec![EMPTY; len];
+        for t in 0..self.entries.len() as u32 {
+            let i = self.slot(self.name(TermId(t)));
+            self.slots[i] = t;
+        }
+    }
+
     /// Returns the id for `name`, inserting a fresh entry if absent.
     /// Statistics of fresh entries are zeroed until the build fills
     /// them in.
+    ///
+    /// # Panics
+    /// Panics if the names would exceed 4 GiB in total.
     pub fn intern(&mut self, name: &str) -> TermId {
-        if let Some(id) = self.by_name.get(name) {
-            return *id;
+        if let Some(id) = self.lookup(name) {
+            return id;
         }
+        if 2 * (self.entries.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let i = self.slot(name);
         let id = TermId(self.entries.len() as u32);
-        self.by_name.insert(name.to_string(), id);
+        self.names.push_str(name);
+        let end = u32::try_from(self.names.len()).expect("term names exceed 4 GiB");
+        self.ends.push(end);
+        self.slots[i] = id.0;
         self.entries.push(TermEntry {
-            name: name.to_string(),
             doc_freq: 0,
             idf: 0.0,
             f_max: 0,
@@ -62,7 +124,13 @@ impl Lexicon {
 
     /// Looks up a term by name.
     pub fn lookup(&self, name: &str) -> Option<TermId> {
-        self.by_name.get(name).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        match self.slots[self.slot(name)] {
+            EMPTY => None,
+            id => Some(TermId(id)),
+        }
     }
 
     /// Looks up a term by name, erroring with the term string if absent.
@@ -79,6 +147,14 @@ impl Lexicon {
     /// Mutable entry access (builder only).
     pub(crate) fn entry_mut(&mut self, id: TermId) -> &mut TermEntry {
         &mut self.entries[id.index()]
+    }
+
+    /// Releases the spare capacity interning left behind (builder
+    /// only, once every term is in).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.names.shrink_to_fit();
+        self.ends.shrink_to_fit();
+        self.entries.shrink_to_fit();
     }
 
     /// Number of terms (including stopped ones).
@@ -171,6 +247,39 @@ mod tests {
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(lex.len(), 2);
+    }
+
+    #[test]
+    fn names_round_trip_across_table_growths() {
+        let mut lex = Lexicon::new();
+        let names: Vec<String> = (0..100_000).map(|i| format!("t{i:x}")).collect();
+        let ids: Vec<TermId> = names.iter().map(|n| lex.intern(n)).collect();
+        assert_eq!(lex.len(), names.len());
+        for (i, (name, &id)) in names.iter().zip(&ids).enumerate() {
+            assert_eq!(id, TermId(i as u32), "ids are dense, in first-intern order");
+            assert_eq!(lex.lookup(name), Some(id));
+            assert_eq!(lex.name(id), name);
+        }
+        // Re-interning returns the same ids and adds nothing.
+        for (name, &id) in names.iter().zip(&ids).rev() {
+            assert_eq!(lex.intern(name), id);
+        }
+        assert_eq!(lex.len(), names.len());
+        for unknown in ["", "t", "t186a0", "T0", "t0 ", "price"] {
+            assert_eq!(lex.lookup(unknown), None, "{unknown:?}");
+        }
+        assert_eq!(Lexicon::new().lookup("t0"), None);
+    }
+
+    #[test]
+    fn empty_and_prefix_names_stay_distinct() {
+        let mut lex = Lexicon::new();
+        let a = lex.intern("ab");
+        let e = lex.intern("");
+        let b = lex.intern("a");
+        assert_eq!((lex.name(a), lex.name(e), lex.name(b)), ("ab", "", "a"));
+        assert_eq!(lex.lookup(""), Some(e));
+        assert_eq!(lex.intern("ab"), a);
     }
 
     #[test]

@@ -84,6 +84,15 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
+impl From<ir_storage::PageFileError> for PersistError {
+    fn from(e: ir_storage::PageFileError) -> Self {
+        match e {
+            ir_storage::PageFileError::Io(io) => PersistError::Io(io),
+            other => PersistError::Corrupt(other.to_string()),
+        }
+    }
+}
+
 impl From<IrError> for PersistError {
     fn from(e: IrError) -> Self {
         PersistError::Ir(e)
@@ -193,8 +202,8 @@ pub fn save_index(index: &InvertedIndex, path: &Path) -> Result<(), PersistError
     w.bytes(&dictionary);
 
     // Lexicon.
-    for (_, e) in index.lexicon().iter() {
-        let name = e.name.as_bytes();
+    for (term, e) in index.lexicon().iter() {
+        let name = index.lexicon().name(term).as_bytes();
         if name.len() > u16::MAX as usize {
             return Err(PersistError::Corrupt(format!(
                 "term name too long ({} bytes)",
@@ -258,20 +267,15 @@ pub fn save_index(index: &InvertedIndex, path: &Path) -> Result<(), PersistError
 /// write is atomic (temp file + rename).
 pub fn save_page_file(index: &InvertedIndex, path: &Path) -> Result<(), PersistError> {
     use ir_storage::{backend::TermPages, PageStore};
-    let mut terms = Vec::with_capacity(index.n_terms());
-    for (term, e) in index.lexicon().iter() {
-        let mut pages = Vec::with_capacity(e.n_pages as usize);
-        for p in 0..e.n_pages {
-            pages.push(index.disk().read_page(PageId::new(term, p))?);
-        }
-        terms.push(TermPages { idf: e.idf, pages });
-    }
+    let terms = index.lexicon().iter().map(|(term, e)| {
+        let pages = (0..e.n_pages)
+            .map(|p| index.disk().read_page(PageId::new(term, p)))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok::<_, PersistError>(TermPages { idf: e.idf, pages })
+    });
+    let written = ir_storage::write_page_file_from(terms, path, index.codec_impl().as_ref());
     index.disk().reset_stats(); // export reads are not query reads
-    ir_storage::write_page_file_with(&terms, path, index.codec_impl().as_ref()).map_err(|e| match e
-    {
-        ir_storage::PageFileError::Io(io) => PersistError::Io(io),
-        other => PersistError::Corrupt(other.to_string()),
-    })
+    written
 }
 
 /// Loads an index saved by [`save_index`].
@@ -365,6 +369,7 @@ pub fn load_index(path: &Path) -> Result<InvertedIndex, PersistError> {
         }
         metas.push((doc_freq, f_max, n_postings, stopped));
     }
+    lexicon.shrink_to_fit();
 
     // Document statistics.
     let mut lengths = Vec::with_capacity(n_docs as usize);
@@ -375,7 +380,7 @@ pub fn load_index(path: &Path) -> Result<InvertedIndex, PersistError> {
     // Postings.
     let params = IndexParams::with_page_size(page_size).with_ordering(ordering);
     let mut lists: Vec<Vec<Page>> = Vec::with_capacity(n_terms);
-    let mut decoded_lists: Vec<Vec<Posting>> = Vec::with_capacity(n_terms);
+    let mut conversion = ConversionTable::new(page_size, ordering);
     for (t, &(doc_freq, f_max, n_postings, stopped)) in metas.iter().enumerate() {
         let term = TermId(t as u32);
         let len = r.u32()? as usize;
@@ -403,8 +408,9 @@ pub fn load_index(path: &Path) -> Result<InvertedIndex, PersistError> {
         let pages: Vec<Page> = postings
             .chunks(page_size)
             .enumerate()
-            .map(|(i, chunk)| Page::new(PageId::new(term, i as u32), chunk.to_vec().into(), idf))
+            .map(|(i, chunk)| Page::new(PageId::new(term, i as u32), Arc::from(chunk), idf))
             .collect();
+        conversion.push(&postings);
         {
             let e = lexicon.entry_mut(term);
             e.doc_freq = doc_freq;
@@ -415,7 +421,6 @@ pub fn load_index(path: &Path) -> Result<InvertedIndex, PersistError> {
             e.stopped = stopped;
         }
         lists.push(pages);
-        decoded_lists.push(postings);
     }
     if r.pos != body.len() {
         return Err(PersistError::Corrupt(format!(
@@ -424,11 +429,6 @@ pub fn load_index(path: &Path) -> Result<InvertedIndex, PersistError> {
         )));
     }
 
-    let conversion = ConversionTable::build_with_ordering(
-        decoded_lists.iter().map(|l| l.as_slice()),
-        page_size,
-        ordering,
-    );
     Ok(InvertedIndex::from_parts(
         lexicon,
         DocStats::new(lengths),
@@ -500,6 +500,45 @@ mod tests {
     }
 
     #[test]
+    fn page_file_export_matches_the_slice_writer() {
+        use ir_storage::{backend::TermPages, PageStore};
+        for codec in compress::Codec::ALL {
+            let mut b = IndexBuilder::new();
+            b.add_document(["stock", "price", "stock", "crash"]);
+            b.add_document(["price", "bond", "stock"]);
+            b.add_document(["stock", "bond"]);
+            b.add_document(["drought", "bond", "bond", "bond"]);
+            let idx = b
+                .build(BuildOptions {
+                    params: IndexParams::with_page_size(2),
+                    codec,
+                    ..BuildOptions::default()
+                })
+                .unwrap();
+            let terms: Vec<TermPages> = idx
+                .lexicon()
+                .iter()
+                .map(|(term, e)| TermPages {
+                    idf: e.idf,
+                    pages: (0..e.n_pages)
+                        .map(|p| idx.disk().read_page(PageId::new(term, p)).unwrap())
+                        .collect(),
+                })
+                .collect();
+            let sliced = tmpfile(&format!("export_slice_{}.bfpg", codec.id()));
+            ir_storage::write_page_file_with(&terms, &sliced, idx.codec_impl().as_ref()).unwrap();
+            let streamed = tmpfile(&format!("export_stream_{}.bfpg", codec.id()));
+            save_page_file(&idx, &streamed).unwrap();
+            assert_eq!(
+                fs::read(&streamed).unwrap(),
+                fs::read(&sliced).unwrap(),
+                "{codec}"
+            );
+            idx.disk().reset_stats();
+        }
+    }
+
+    #[test]
     fn round_trip_preserves_everything_observable() {
         let idx = sample_index();
         let path = tmpfile("round_trip.idx");
@@ -513,7 +552,7 @@ mod tests {
         assert_eq!(loaded.params().page_size, idx.params().page_size);
         for (term, e) in idx.lexicon().iter() {
             let l = loaded.lexicon().entry(term).unwrap();
-            assert_eq!(l.name, e.name);
+            assert_eq!(loaded.lexicon().name(term), idx.lexicon().name(term));
             assert_eq!(l.doc_freq, e.doc_freq);
             assert_eq!(l.f_max, e.f_max);
             assert_eq!(l.n_pages, e.n_pages);

@@ -49,6 +49,7 @@ use crate::page::Page;
 use bytes::Bytes;
 use ir_types::{IrError, IrResult, PageId, Posting, TermId};
 use parking_lot::Mutex;
+use std::borrow::Borrow;
 use std::fmt;
 use std::fs;
 use std::io::{Read, Write};
@@ -123,51 +124,32 @@ pub fn write_page_file(terms: &[TermPages], path: &Path) -> Result<(), PageFileE
 /// Serializes `terms` (index = term id) to `path` as a `BFPG` v2 page
 /// file, each page's postings encoded by `codec` and the codec's
 /// dictionary persisted in the header, atomically (temp file +
-/// rename).
+/// rename). The slice form of [`write_page_file_from`].
 pub fn write_page_file_with(
     terms: &[TermPages],
     path: &Path,
     codec: &dyn ListCodec,
 ) -> Result<(), PageFileError> {
-    // Encode every page first so each payload length — and therefore
-    // every page's absolute offset — is known before the directory is
-    // written.
-    let encoded: Vec<Vec<Bytes>> = terms
-        .iter()
-        .map(|t| t.pages.iter().map(|p| codec.encode(p.postings())).collect())
-        .collect();
-    let dictionary = codec.dictionary();
-    let header_len = 4 + 4 + 1 + 4 + dictionary.len() + 4;
-    let dir_len: usize = terms.iter().map(|t| 4 + 8 + t.pages.len() * 24).sum();
-    let mut offset = (header_len + dir_len + 8) as u64;
+    write_page_file_from(terms.iter().map(Ok), path, codec)
+}
 
-    let mut buf = Vec::with_capacity(offset as usize);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.push(codec.id().id());
-    buf.extend_from_slice(&(dictionary.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&dictionary);
-    buf.extend_from_slice(&(terms.len() as u32).to_le_bytes());
-    for (t, pages) in terms.iter().zip(&encoded) {
-        buf.extend_from_slice(&(t.pages.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&t.idf.to_le_bytes());
-        for (page, payload) in t.pages.iter().zip(pages) {
-            let byte_len = payload.len() as u32;
-            buf.extend_from_slice(&offset.to_le_bytes());
-            buf.extend_from_slice(&byte_len.to_le_bytes());
-            buf.extend_from_slice(&(page.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&page.checksum().to_le_bytes());
-            offset += u64::from(byte_len);
-        }
-    }
-    let trailer = fnv1a(&buf);
-    buf.extend_from_slice(&trailer.to_le_bytes());
-    for pages in &encoded {
-        for payload in pages {
-            buf.extend_from_slice(payload);
-        }
-    }
-    write_atomically(&buf, path)
+/// Streams `terms` (in term-id order) to `path` as a `BFPG` v2 page
+/// file, each page's postings encoded by `codec`, atomically (temp
+/// file + rename). Terms are consumed one at a time: each page is
+/// encoded straight into one payload buffer, so the writer holds the
+/// encoded payload and the directory, never a second copy of either.
+/// The first `Err` the iterator yields ends the write and is returned;
+/// nothing is left at `path`.
+pub fn write_page_file_from<T, E>(
+    terms: impl IntoIterator<Item = Result<T, E>>,
+    path: &Path,
+    codec: &dyn ListCodec,
+) -> Result<(), E>
+where
+    T: Borrow<TermPages>,
+    E: From<PageFileError>,
+{
+    write(terms, path, Layout::Codec(codec))
 }
 
 /// Serializes `terms` in the **version 1** layout (raw little-endian
@@ -175,44 +157,95 @@ pub fn write_page_file_with(
 /// before the codec layer existed. Kept so back-compat tests can
 /// manufacture pre-upgrade files; new files are always v2.
 pub fn write_page_file_v1(terms: &[TermPages], path: &Path) -> Result<(), PageFileError> {
-    let header_len = 4 + 4 + 4;
-    let dir_len: usize = terms.iter().map(|t| 4 + 8 + t.pages.len() * 24).sum();
-    let mut offset = (header_len + dir_len + 8) as u64;
+    write(terms.iter().map(Ok), path, Layout::RawPairs)
+}
 
-    let mut buf = Vec::with_capacity(offset as usize);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION_V1.to_le_bytes());
-    buf.extend_from_slice(&(terms.len() as u32).to_le_bytes());
-    for t in terms {
-        buf.extend_from_slice(&(t.pages.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&t.idf.to_le_bytes());
-        for page in &t.pages {
-            let byte_len = (page.len() * 8) as u32;
-            buf.extend_from_slice(&offset.to_le_bytes());
-            buf.extend_from_slice(&byte_len.to_le_bytes());
-            buf.extend_from_slice(&(page.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&page.checksum().to_le_bytes());
+/// What a page file's header and payloads hold.
+#[derive(Clone, Copy)]
+enum Layout<'a> {
+    /// Version 1: no codec header, raw `(u32 doc, u32 freq)` pairs.
+    RawPairs,
+    /// Version 2: the codec's id and dictionary, codec payloads.
+    Codec(&'a dyn ListCodec),
+}
+
+/// The one page-file writer. The directory records each page's offset
+/// into the payload; the absolute offsets follow once the directory's
+/// length — and so where the payload starts — is known.
+fn write<T, E>(
+    terms: impl IntoIterator<Item = Result<T, E>>,
+    path: &Path,
+    layout: Layout<'_>,
+) -> Result<(), E>
+where
+    T: Borrow<TermPages>,
+    E: From<PageFileError>,
+{
+    // Per term: (n_pages, idf); per page: (byte_len, n_postings,
+    // checksum), in order.
+    let mut term_dir: Vec<(u32, f64)> = Vec::new();
+    let mut page_dir: Vec<(u32, u32, u64)> = Vec::new();
+    let mut payload: Vec<u8> = Vec::new();
+    for term in terms {
+        let term = term?;
+        let term = term.borrow();
+        term_dir.push((term.pages.len() as u32, term.idf));
+        for page in &term.pages {
+            let start = payload.len();
+            match layout {
+                Layout::RawPairs => {
+                    for p in page.postings() {
+                        payload.extend_from_slice(&p.doc.0.to_le_bytes());
+                        payload.extend_from_slice(&p.freq.to_le_bytes());
+                    }
+                }
+                Layout::Codec(codec) => payload.extend_from_slice(&codec.encode(page.postings())),
+            }
+            let byte_len = (payload.len() - start) as u32;
+            page_dir.push((byte_len, page.len() as u32, page.checksum()));
+        }
+    }
+
+    let mut head = Vec::new();
+    head.extend_from_slice(MAGIC);
+    match layout {
+        Layout::RawPairs => head.extend_from_slice(&VERSION_V1.to_le_bytes()),
+        Layout::Codec(codec) => {
+            let dictionary = codec.dictionary();
+            head.extend_from_slice(&VERSION.to_le_bytes());
+            head.push(codec.id().id());
+            head.extend_from_slice(&(dictionary.len() as u32).to_le_bytes());
+            head.extend_from_slice(&dictionary);
+        }
+    }
+    head.extend_from_slice(&(term_dir.len() as u32).to_le_bytes());
+    let dir_len = term_dir.len() * (4 + 8) + page_dir.len() * 24;
+    let mut offset = (head.len() + dir_len + 8) as u64;
+    head.reserve(dir_len + 8);
+    let mut pages = page_dir.iter();
+    for &(n_pages, idf) in &term_dir {
+        head.extend_from_slice(&n_pages.to_le_bytes());
+        head.extend_from_slice(&idf.to_le_bytes());
+        for &(byte_len, n_postings, checksum) in pages.by_ref().take(n_pages as usize) {
+            head.extend_from_slice(&offset.to_le_bytes());
+            head.extend_from_slice(&byte_len.to_le_bytes());
+            head.extend_from_slice(&n_postings.to_le_bytes());
+            head.extend_from_slice(&checksum.to_le_bytes());
             offset += u64::from(byte_len);
         }
     }
-    let trailer = fnv1a(&buf);
-    buf.extend_from_slice(&trailer.to_le_bytes());
-    for t in terms {
-        for page in &t.pages {
-            for p in page.postings() {
-                buf.extend_from_slice(&p.doc.0.to_le_bytes());
-                buf.extend_from_slice(&p.freq.to_le_bytes());
-            }
-        }
-    }
-    write_atomically(&buf, path)
+    let trailer = fnv1a(&head);
+    head.extend_from_slice(&trailer.to_le_bytes());
+    write_atomically(&[&head, &payload], path).map_err(E::from)
 }
 
-fn write_atomically(buf: &[u8], path: &Path) -> Result<(), PageFileError> {
+fn write_atomically(parts: &[&[u8]], path: &Path) -> Result<(), PageFileError> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = fs::File::create(&tmp)?;
-        f.write_all(buf)?;
+        for part in parts {
+            f.write_all(part)?;
+        }
         f.sync_all()?;
     }
     fs::rename(&tmp, path)?;
@@ -640,6 +673,84 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The page-file image laid out field by field from the format
+    /// description in the module docs: header, directory with absolute
+    /// offsets, directory trailer, payloads in page order.
+    fn spec_image(terms: &[TermPages], codec: &dyn ListCodec) -> Vec<u8> {
+        let dictionary = codec.dictionary();
+        let n_pages: usize = terms.iter().map(|t| t.pages.len()).sum();
+        let payload_start = 17 + dictionary.len() + terms.len() * 12 + n_pages * 24 + 8;
+        let mut out = Vec::new();
+        out.extend_from_slice(b"BFPG");
+        out.extend_from_slice(&2u32.to_le_bytes());
+        out.push(codec.id().id());
+        out.extend_from_slice(&(dictionary.len() as u32).to_le_bytes());
+        out.extend_from_slice(&dictionary);
+        out.extend_from_slice(&(terms.len() as u32).to_le_bytes());
+        let mut offset = payload_start as u64;
+        for t in terms {
+            out.extend_from_slice(&(t.pages.len() as u32).to_le_bytes());
+            out.extend_from_slice(&t.idf.to_le_bytes());
+            for page in &t.pages {
+                let len = codec.encode(page.postings()).len() as u32;
+                out.extend_from_slice(&offset.to_le_bytes());
+                out.extend_from_slice(&len.to_le_bytes());
+                out.extend_from_slice(&(page.len() as u32).to_le_bytes());
+                out.extend_from_slice(&page.checksum().to_le_bytes());
+                offset += u64::from(len);
+            }
+        }
+        let trailer = fnv1a(&out);
+        out.extend_from_slice(&trailer.to_le_bytes());
+        assert_eq!(out.len(), payload_start);
+        for page in terms.iter().flat_map(|t| &t.pages) {
+            out.extend_from_slice(&codec.encode(page.postings()));
+        }
+        out
+    }
+
+    #[test]
+    fn streaming_and_slice_writers_match_the_format_byte_for_byte() {
+        let mut terms = sample_terms(4, 3);
+        terms[2].pages.clear(); // a term with no pages
+        for codec_id in Codec::ALL {
+            let codec: Arc<dyn ListCodec> = match codec_id {
+                Codec::RePair => {
+                    let lists: Vec<Vec<Posting>> = terms
+                        .iter()
+                        .flat_map(|t| t.pages.iter().map(|p| p.postings().to_vec()))
+                        .collect();
+                    Arc::new(crate::codec::RePairCodec::train(
+                        lists.iter().map(|l| l.as_slice()),
+                    ))
+                }
+                other => other.build(&[]).unwrap(),
+            };
+            let slice = tmpfile(&format!("writer_slice_{}.bfpg", codec_id.id()));
+            let stream = tmpfile(&format!("writer_stream_{}.bfpg", codec_id.id()));
+            write_page_file_with(&terms, &slice, codec.as_ref()).unwrap();
+            let owned = terms.iter().cloned().map(Ok::<_, PageFileError>);
+            write_page_file_from(owned, &stream, codec.as_ref()).unwrap();
+            let expected = spec_image(&terms, codec.as_ref());
+            assert_eq!(fs::read(&slice).unwrap(), expected, "{codec_id}");
+            assert_eq!(fs::read(&stream).unwrap(), expected, "{codec_id}");
+        }
+    }
+
+    #[test]
+    fn a_failing_term_source_writes_nothing() {
+        let terms = sample_terms(2, 2);
+        let path = tmpfile("writer_fails.bfpg");
+        let _ = fs::remove_file(&path);
+        let source = terms
+            .iter()
+            .map(Ok)
+            .chain(std::iter::once(Err(PageFileError::Corrupt("read".into()))));
+        let err = write_page_file_from(source, &path, &GoldenCodec).unwrap_err();
+        assert!(matches!(err, PageFileError::Corrupt(msg) if msg == "read"));
+        assert!(!path.exists());
     }
 
     #[test]

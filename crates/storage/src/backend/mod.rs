@@ -33,7 +33,7 @@ pub mod file;
 pub mod sched;
 
 pub use file::{
-    write_page_file, write_page_file_v1, write_page_file_with, FileMode, FilePageStore,
-    PageFileError, TermPages,
+    write_page_file, write_page_file_from, write_page_file_v1, write_page_file_with, FileMode,
+    FilePageStore, PageFileError, TermPages,
 };
 pub use sched::{IoConfig, IoMetrics, IoScheduler, LatencyModel};

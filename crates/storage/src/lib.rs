@@ -41,8 +41,8 @@ pub mod shared;
 pub mod stats;
 
 pub use backend::{
-    write_page_file, write_page_file_v1, write_page_file_with, FileMode, FilePageStore, IoConfig,
-    IoMetrics, IoScheduler, LatencyModel, PageFileError, TermPages,
+    write_page_file, write_page_file_from, write_page_file_v1, write_page_file_with, FileMode,
+    FilePageStore, IoConfig, IoMetrics, IoScheduler, LatencyModel, PageFileError, TermPages,
 };
 pub use buffer::{Backoff, BufferManager, FetchOutcome, FetchPolicy};
 pub use codec::{

@@ -57,7 +57,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .expect("nonempty lexicon");
     println!(
         "\nBAF conversion table for the longest list ({}: {} pages, f_max {}):",
-        entry.name, entry.n_pages, entry.f_max
+        index.lexicon().name(term),
+        entry.n_pages,
+        entry.f_max
     );
     println!("{:>8} {:>12} {:>10}", "f_add", "entries >", "p_t");
     for f_add in [0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, f64::from(entry.f_max)] {
