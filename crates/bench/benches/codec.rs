@@ -5,7 +5,7 @@
 //! would).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use ir_index::{BulkVByteCodec, GoldenCodec, ListCodec, RePairCodec};
+use ir_index::{GoldenCodec, ListCodec, RePairCodec};
 use ir_types::{frequency_order, Posting};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -32,7 +32,7 @@ fn bench_codec(c: &mut Criterion) {
     // mirroring the builder's whole-collection training pass.
     let training: Vec<Vec<Posting>> = (0..32).map(|seed| page_postings(404, seed)).collect();
     let repair = RePairCodec::train(training.iter().map(|l| l.as_slice()));
-    let codecs: [&dyn ListCodec; 3] = [&GoldenCodec, &BulkVByteCodec, &repair];
+    let codecs: [&dyn ListCodec; 2] = [&GoldenCodec, &repair];
 
     let mut g = c.benchmark_group("codec");
     g.throughput(Throughput::Elements(postings.len() as u64));

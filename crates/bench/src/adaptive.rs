@@ -3,7 +3,7 @@
 //! is*? (ROADMAP Open item 2's headline question.)
 //!
 //! Two workloads with opposite winners are driven over every static
-//! policy plus both adaptive ones, through identical page-request
+//! policy plus the adaptive one, through identical page-request
 //! streams:
 //!
 //! * **refinement** — the QUERY1 AddDrop refinement sequence under the
@@ -16,8 +16,8 @@
 //!   the worst choice.
 //!
 //! The report then gates: each workload's expected winner is minimal
-//! among the static policies, both adaptive policies land within 5 %
-//! of the best static expert's disk reads on *both* workloads, and the
+//! among the static policies, the adaptive policy lands within 5 % of
+//! the best static expert's disk reads on *both* workloads, and the
 //! mixture's leadership actually moved (`adaptive.switches > 0`
 //! somewhere). Reads, hits, switch counts and shadow-hit counters are
 //! all deterministic — no wall-clock number is printed — so CI runs
@@ -36,7 +36,7 @@ use std::sync::Arc;
 /// Bumped whenever the adaptive-report shape changes incompatibly.
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// Adaptive policies must stay within this factor of the best static
+/// The adaptive policy must stay within this factor of the best static
 /// expert's disk reads on every workload (the ISSUE's 5 % bound).
 const TRACKING_SLACK: f64 = 1.05;
 
@@ -55,7 +55,7 @@ pub struct AdaptiveRow {
     pub total_reads: u64,
     /// Buffer hits over the whole workload.
     pub buffer_hits: u64,
-    /// Leader/active-policy switches (0 for static policies).
+    /// Leader switches (0 for static policies).
     pub switches: u64,
     /// `(expert, shadow hits)` pairs (empty for static policies).
     pub shadow_hits: Vec<(String, u64)>,
@@ -76,7 +76,7 @@ pub struct AdaptiveReport {
     pub rows: Vec<AdaptiveRow>,
 }
 
-/// Policies under test: every static policy, then both adaptive ones.
+/// Policies under test: every static policy, then the adaptive one.
 fn panel() -> impl Iterator<Item = PolicyKind> {
     PolicyKind::ALL.into_iter().chain(PolicyKind::ADAPTIVE)
 }
@@ -212,10 +212,8 @@ fn gate(rows: &[AdaptiveRow]) -> Result<String, Vec<String>> {
     let mut problems = Vec::new();
     for (workload, winner) in [("refinement", "RAP"), ("recency", "LRU")] {
         let cells = reads_of(rows, workload);
-        let static_cells: Vec<&(&str, u64)> = cells
-            .iter()
-            .filter(|(p, _)| *p != "ADAPTIVE" && *p != "HIT-ADAPT")
-            .collect();
+        let static_cells: Vec<&(&str, u64)> =
+            cells.iter().filter(|(p, _)| *p != "ADAPTIVE").collect();
         let best = static_cells.iter().map(|(_, r)| *r).min().unwrap_or(0);
         let Some(&&(_, winner_reads)) = static_cells.iter().find(|(p, _)| *p == winner) else {
             problems.push(format!("{workload}: no {winner} row"));
@@ -228,29 +226,27 @@ fn gate(rows: &[AdaptiveRow]) -> Result<String, Vec<String>> {
             ));
         }
         let bound = (best as f64 * TRACKING_SLACK).floor() as u64;
-        for name in ["ADAPTIVE", "HIT-ADAPT"] {
-            let Some(&(_, reads)) = cells.iter().find(|(p, _)| *p == name) else {
-                problems.push(format!("{workload}: no {name} row"));
-                continue;
-            };
-            if reads > bound {
-                problems.push(format!(
-                    "{workload}: {name} read {reads} pages, over the {bound} bound \
-                     ({TRACKING_SLACK}x the best static expert's {best})"
-                ));
-            } else {
-                let _ = writeln!(
-                    out,
-                    "{workload}: {name} reads {reads} <= {bound} \
-                     ({TRACKING_SLACK}x best static {best}, winner {winner})"
-                );
-            }
+        let Some(&(_, reads)) = cells.iter().find(|(p, _)| *p == "ADAPTIVE") else {
+            problems.push(format!("{workload}: no ADAPTIVE row"));
+            continue;
+        };
+        if reads > bound {
+            problems.push(format!(
+                "{workload}: ADAPTIVE read {reads} pages, over the {bound} bound \
+                 ({TRACKING_SLACK}x the best static expert's {best})"
+            ));
+        } else {
+            let _ = writeln!(
+                out,
+                "{workload}: ADAPTIVE reads {reads} <= {bound} \
+                 ({TRACKING_SLACK}x best static {best}, winner {winner})"
+            );
         }
     }
     let switches: u64 = rows.iter().map(|r| r.switches).sum();
     if switches == 0 {
         problems.push(
-            "no adaptive policy ever switched leaders; opposite-winner workloads \
+            "the adaptive policy never switched leaders; opposite-winner workloads \
              must move the mixture at least once"
                 .to_string(),
         );
@@ -399,26 +395,24 @@ mod tests {
         ("CLOCK", 115),
     ];
 
-    fn refine_cells(adaptive: u64, hit_adapt: u64) -> Vec<(&'static str, u64)> {
+    fn refine_cells(adaptive: u64) -> Vec<(&'static str, u64)> {
         let mut v = STATICS.to_vec();
         v.push(("ADAPTIVE", adaptive));
-        v.push(("HIT-ADAPT", hit_adapt));
         v
     }
 
-    fn recency_cells(adaptive: u64, hit_adapt: u64) -> Vec<(&'static str, u64)> {
+    fn recency_cells(adaptive: u64) -> Vec<(&'static str, u64)> {
         let mut v: Vec<(&str, u64)> = STATICS
             .iter()
             .map(|&(p, r)| if p == "LRU" { (p, 70) } else { (p, r) })
             .collect();
         v.push(("ADAPTIVE", adaptive));
-        v.push(("HIT-ADAPT", hit_adapt));
         v
     }
 
     #[test]
     fn gate_passes_when_adaptive_tracks_both_winners() {
-        let rows = full_grid(&refine_cells(82, 84), &recency_cells(72, 70), 3);
+        let rows = full_grid(&refine_cells(82), &recency_cells(72), 3);
         let verdict = gate(&rows).expect("tracking grid must pass");
         assert!(verdict.contains("3 switches total"), "{verdict}");
     }
@@ -426,7 +420,7 @@ mod tests {
     #[test]
     fn gate_fails_when_adaptive_drifts_past_the_slack() {
         // 5% of RAP's 80 reads allows 84; 90 is a tracking failure.
-        let rows = full_grid(&refine_cells(90, 84), &recency_cells(72, 70), 3);
+        let rows = full_grid(&refine_cells(90), &recency_cells(72), 3);
         let problems = gate(&rows).unwrap_err();
         assert!(problems[0].contains("ADAPTIVE"), "{problems:?}");
         assert!(problems[0].contains("bound"), "{problems:?}");
@@ -435,20 +429,20 @@ mod tests {
     #[test]
     fn gate_fails_when_the_expected_winner_loses() {
         // LRU must be (tied-)minimal on the recency trace.
-        let mut recency = recency_cells(72, 70);
+        let mut recency = recency_cells(72);
         for c in recency.iter_mut() {
             if c.0 == "FIFO" {
                 c.1 = 60;
             }
         }
-        let rows = full_grid(&refine_cells(82, 84), &recency, 3);
+        let rows = full_grid(&refine_cells(82), &recency, 3);
         let problems = gate(&rows).unwrap_err();
         assert!(problems[0].contains("no longer favors LRU"), "{problems:?}");
     }
 
     #[test]
     fn gate_requires_at_least_one_switch() {
-        let rows = full_grid(&refine_cells(82, 84), &recency_cells(72, 70), 0);
+        let rows = full_grid(&refine_cells(82), &recency_cells(72), 0);
         let problems = gate(&rows).unwrap_err();
         assert!(problems[0].contains("ever switched"), "{problems:?}");
     }

@@ -20,9 +20,8 @@ use ir_bench::setup::{pick_representatives, profile_queries, TestBed};
 use std::process::ExitCode;
 use std::time::Instant;
 
-const USAGE: &str = "usage: experiments [EXPERIMENT ...] [--scale SIGMA] [--out DIR] [--adaptive]
-experiments: all table1_2 table4 fig3 fig4 fig5_6 fig7_8 table7 aggregate effectiveness ablation feedback multiuser ordering scaling
---adaptive appends the ADAPTIVE / HIT-ADAPT rows to the ablation (changes ablation_policies.csv, so it is off by default)";
+const USAGE: &str = "usage: experiments [EXPERIMENT ...] [--scale SIGMA] [--out DIR]
+experiments: all table1_2 table4 fig3 fig4 fig5_6 fig7_8 table7 aggregate effectiveness ablation feedback multiuser ordering scaling";
 
 const ALL: [&str; 9] = [
     "table1_2",
@@ -40,7 +39,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = 1.0 / 16.0;
     let mut out_dir = "results".to_string();
-    let mut adaptive = false;
     let mut picked: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -65,7 +63,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--adaptive" => adaptive = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -160,7 +157,7 @@ fn main() -> ExitCode {
             "table7" => table7::run(&ctx).map(drop),
             "aggregate" => aggregate::run(&ctx).map(drop),
             "effectiveness" => effectiveness::run(&ctx).map(drop),
-            "ablation" => ablation::run_with_adaptive(&ctx, adaptive).map(drop),
+            "ablation" => ablation::run(&ctx).map(drop),
             "feedback" => feedback_exp::run(&ctx).map(drop),
             "multiuser" => ir_bench::exp::multiuser::run(&ctx).map(drop),
             "ordering" => ir_bench::exp::ordering::run(&ctx).map(drop),

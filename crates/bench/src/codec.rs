@@ -1,4 +1,4 @@
-//! The `bench codec` sweep: the three list codecs measured over the
+//! The `bench codec` sweep: the list codecs measured over the
 //! same collection, each rebuilt at its own derived entries-per-page
 //! (the byte budget of the paper's `PageSize = 404` held fixed), then
 //! BAF and DF driven over the four representative topic queries.
@@ -8,14 +8,14 @@
 //! sizes, read counts — so CI diffs two runs byte for byte and the
 //! JSON artifact against the checked-in `results/BENCH_codec.json`.
 //! Decode timings are machine-dependent and go to stderr, where the
-//! decode-latency gate ([`gate`]) also reports.
+//! size gate ([`gate`]) also reports.
 
 use crate::setup::{pick_representatives, profile_queries, TestBed};
 use ir_core::eval::{evaluate, EvalOptions};
 use ir_core::{Algorithm, Query};
 use ir_engine::{index_corpus_opts, IndexCorpusOptions};
 use ir_index::scan_geometry::codec_page_size;
-use ir_index::{BulkVByteCodec, Codec, GoldenCodec, InvertedIndex, ListCodec, RePairCodec};
+use ir_index::{Codec, GoldenCodec, InvertedIndex, ListCodec, RePairCodec};
 use ir_observe::DECODE_NS_BOUNDS;
 use ir_storage::{PageStore, PolicyKind};
 use ir_types::{frequency_order, FilterParams, ListOrdering, PageId, Posting};
@@ -28,7 +28,7 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// arithmetic, derived geometry, and virtual read counts.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct CodecCell {
-    /// Codec name ("golden", "bulk-vbyte", "re-pair").
+    /// Codec name ("golden", "re-pair").
     pub codec: String,
     /// Derived entries-per-page under the fixed byte budget.
     pub page_size: u64,
@@ -120,7 +120,6 @@ pub fn decode_pass(index: &InvertedIndex, repeats: usize) -> Result<Vec<DecodeTi
     for codec in Codec::ALL {
         let imp: &dyn ListCodec = match codec {
             Codec::Golden => &GoldenCodec,
-            Codec::BulkVByte => &BulkVByteCodec,
             Codec::RePair => &repair,
         };
         let encoded: Vec<_> = lists.iter().map(|l| imp.encode(l)).collect();
@@ -290,56 +289,26 @@ pub fn run(
     Ok((text, report, timings))
 }
 
-/// The two `bench codec` gates (ISSUE 10):
+/// The `bench codec` gate (deterministic): Re-Pair's census
+/// bytes/entry — dictionary included — must be *strictly* below
+/// golden's, since a denser codec is what shrinks `p_t`.
 ///
-/// 1. **Size** (deterministic): Re-Pair's census bytes/entry —
-///    dictionary included — must be *strictly* below golden's.
-/// 2. **Decode latency** (machine-dependent): bulk v-byte's
-///    best-of-repeats decode µs/entry must not exceed golden's.
-///
-/// Returns a summary on pass, one message per violation on failure.
-pub fn gate(report: &CodecBenchReport, timings: &[DecodeTiming]) -> Result<String, Vec<String>> {
-    let mut problems = Vec::new();
+/// Returns a summary on pass, the violation on failure.
+pub fn gate(report: &CodecBenchReport) -> Result<String, String> {
     let cell = |name: &str| report.cells.iter().find(|c| c.codec == name);
-    let timing = |codec: Codec| timings.iter().find(|t| t.codec == codec);
-
-    let mut summary = String::new();
-    match (cell("golden"), cell("re-pair")) {
-        (Some(golden), Some(repair)) => {
-            if repair.bytes_per_entry < golden.bytes_per_entry {
-                summary.push_str(&format!(
-                    "re-pair {:.4} B/entry < golden {:.4} B/entry (dictionary included)\n",
-                    repair.bytes_per_entry, golden.bytes_per_entry
-                ));
-            } else {
-                problems.push(format!(
-                    "re-pair must beat golden on size: {:.4} B/entry vs {:.4} B/entry",
-                    repair.bytes_per_entry, golden.bytes_per_entry
-                ));
-            }
-        }
-        _ => problems.push("report is missing the golden or re-pair cell".to_string()),
-    }
-    match (timing(Codec::Golden), timing(Codec::BulkVByte)) {
-        (Some(golden), Some(bulk)) => {
-            if bulk.best_us_per_entry <= golden.best_us_per_entry {
-                summary.push_str(&format!(
-                    "bulk-vbyte decode {:.5} µs/entry <= golden {:.5} µs/entry\n",
-                    bulk.best_us_per_entry, golden.best_us_per_entry
-                ));
-            } else {
-                problems.push(format!(
-                    "bulk-vbyte decode must not exceed golden: {:.5} µs/entry vs {:.5} µs/entry",
-                    bulk.best_us_per_entry, golden.best_us_per_entry
-                ));
-            }
-        }
-        _ => problems.push("timings are missing the golden or bulk-vbyte pass".to_string()),
-    }
-    if problems.is_empty() {
-        Ok(summary)
+    let (Some(golden), Some(repair)) = (cell("golden"), cell("re-pair")) else {
+        return Err("report is missing the golden or re-pair cell".to_string());
+    };
+    if repair.bytes_per_entry < golden.bytes_per_entry {
+        Ok(format!(
+            "re-pair {:.4} B/entry < golden {:.4} B/entry (dictionary included)\n",
+            repair.bytes_per_entry, golden.bytes_per_entry
+        ))
     } else {
-        Err(problems)
+        Err(format!(
+            "re-pair must beat golden on size: {:.4} B/entry vs {:.4} B/entry",
+            repair.bytes_per_entry, golden.bytes_per_entry
+        ))
     }
 }
 
@@ -382,7 +351,7 @@ mod tests {
     fn denser_codecs_read_fewer_pages() {
         let (_, report, timings) = run(SCALE, 1).unwrap();
         let golden = &report.cells[0];
-        let repair = &report.cells[2];
+        let repair = &report.cells[1];
         assert!(
             repair.bytes_per_entry < golden.bytes_per_entry,
             "re-pair must compress below golden ({} vs {})",
@@ -404,9 +373,6 @@ mod tests {
         // Reads shrink (or at worst tie) when pages hold more entries.
         assert!(repair.df_reads <= golden.df_reads);
         assert!(repair.baf_reads <= golden.baf_reads);
-        // The size half of the gate is deterministic — assert it here;
-        // the latency half is machine-dependent and left to the gate
-        // run itself.
         assert_eq!(timings.len(), Codec::ALL.len());
         for t in &timings {
             assert!(t.entries > 0, "{}: decode pass decoded nothing", t.codec);
@@ -432,7 +398,7 @@ mod tests {
     }
 
     #[test]
-    fn gate_judges_size_and_latency() {
+    fn gate_judges_size() {
         let cellify = |codec: &str, bpe: f64| CodecCell {
             codec: codec.into(),
             page_size: 404,
@@ -444,43 +410,22 @@ mod tests {
             baf_reads: 5,
             df_reads: 7,
         };
-        let timing = |codec: Codec, us: f64| DecodeTiming {
-            codec,
-            entries: 1000,
-            best_ns: (us * 1000.0 * 1000.0) as u64,
-            best_us_per_entry: us,
-        };
         let report = CodecBenchReport {
             schema_version: SCHEMA_VERSION,
             scale: 1.0,
             baseline_page_size: 404,
             topics: vec![0, 1, 2, 3],
-            cells: vec![
-                cellify("golden", 1.0),
-                cellify("bulk-vbyte", 1.4),
-                cellify("re-pair", 0.8),
-            ],
+            cells: vec![cellify("golden", 1.0), cellify("re-pair", 0.8)],
         };
-        let good = vec![
-            timing(Codec::Golden, 0.010),
-            timing(Codec::BulkVByte, 0.008),
-            timing(Codec::RePair, 0.020),
-        ];
-        assert!(gate(&report, &good).is_ok());
-
-        let slow_bulk = vec![
-            timing(Codec::Golden, 0.010),
-            timing(Codec::BulkVByte, 0.011),
-            timing(Codec::RePair, 0.020),
-        ];
-        let problems = gate(&report, &slow_bulk).unwrap_err();
-        assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(problems[0].contains("bulk-vbyte decode"));
+        assert!(gate(&report).is_ok());
 
         let mut fat_repair = report.clone();
-        fat_repair.cells[2].bytes_per_entry = 1.0; // ties are a failure
-        let problems = gate(&fat_repair, &good).unwrap_err();
-        assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(problems[0].contains("re-pair must beat golden"));
+        fat_repair.cells[1].bytes_per_entry = 1.0; // ties are a failure
+        let problem = gate(&fat_repair).unwrap_err();
+        assert!(problem.contains("re-pair must beat golden"), "{problem}");
+
+        let mut missing = report.clone();
+        missing.cells.pop();
+        assert!(gate(&missing).unwrap_err().contains("missing"));
     }
 }

@@ -176,7 +176,7 @@ pub struct AdaptiveSummary {
 /// codecs existed reads back as empty).
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct CodecRow {
-    /// Codec name ("golden", "bulk-vbyte", "re-pair").
+    /// Codec name ("golden", "re-pair").
     pub codec: String,
     /// Postings measured by the census.
     pub n_postings: u64,

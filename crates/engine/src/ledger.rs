@@ -10,7 +10,7 @@
 use serde::{Deserialize, Serialize};
 
 /// The cost of one evaluated query.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueryCost {
     /// Which session submitted the query (0 for a single-user engine).
     pub session: u32,
@@ -32,52 +32,16 @@ pub struct QueryCost {
     /// Sum of the BAF estimator's `d_t` predictions for the terms it
     /// selected (0 for DF/Full, which do not estimate).
     pub estimated_reads: u64,
-    /// Read plans the evaluator issued as batched fetches (defaults to
-    /// 0 when deserializing ledgers recorded before batching existed).
+    /// Read plans the evaluator issued as batched fetches.
     pub batches: u64,
     /// Microseconds the query's disk reads made it wait for I/O
     /// completions, as accounted by the store's latency model
-    /// (`PageStore::io_wait_us`). Zero for the in-memory simulator and
-    /// for ledgers recorded before the storage backend existed.
+    /// (`PageStore::io_wait_us`). Zero for the in-memory simulator.
     pub io_wait_us: u64,
 }
 
-/// Required field of a JSON-object value.
-fn req<T: serde::Deserialize>(v: &serde::Value, name: &'static str) -> Result<T, serde::Error> {
-    T::from_value(
-        v.field(name)
-            .ok_or_else(|| serde::Error::missing_field(name))?,
-    )
-}
-
-/// Optional field: `T::default()` when absent (back-compat for rows
-/// recorded before the field existed).
-fn opt<T: serde::Deserialize + Default>(v: &serde::Value, name: &str) -> Result<T, serde::Error> {
-    v.field(name)
-        .map_or_else(|| Ok(T::default()), T::from_value)
-}
-
-// Hand-written (instead of derived) so `batches` defaults to 0 for
-// ledgers serialized before batching existed.
-impl serde::Deserialize for QueryCost {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(QueryCost {
-            session: req(v, "session")?,
-            step: req(v, "step")?,
-            disk_reads: req(v, "disk_reads")?,
-            buffer_hits: req(v, "buffer_hits")?,
-            borrows: req(v, "borrows")?,
-            eval_us: req(v, "eval_us")?,
-            candidates: req(v, "candidates")?,
-            estimated_reads: req(v, "estimated_reads")?,
-            batches: opt(v, "batches")?,
-            io_wait_us: opt(v, "io_wait_us")?,
-        })
-    }
-}
-
 /// One session's costs, summed over its queries.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SessionCost {
     /// The session these totals cover.
     pub session: u32,
@@ -97,23 +61,6 @@ pub struct SessionCost {
     pub batches: u64,
     /// Total microseconds spent waiting on I/O completions.
     pub io_wait_us: u64,
-}
-
-// Hand-written for the same back-compat reason as `QueryCost`.
-impl serde::Deserialize for SessionCost {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(SessionCost {
-            session: req(v, "session")?,
-            queries: req(v, "queries")?,
-            disk_reads: req(v, "disk_reads")?,
-            buffer_hits: req(v, "buffer_hits")?,
-            borrows: req(v, "borrows")?,
-            eval_us: req(v, "eval_us")?,
-            peak_candidates: req(v, "peak_candidates")?,
-            batches: opt(v, "batches")?,
-            io_wait_us: opt(v, "io_wait_us")?,
-        })
-    }
 }
 
 impl SessionCost {
@@ -304,15 +251,6 @@ mod tests {
         a.merge(b);
         assert_eq!(a.len(), 2);
         assert_eq!(a.total_disk_reads(), 3);
-    }
-
-    #[test]
-    fn pre_batching_ledgers_deserialize_with_zero_batches() {
-        let json = r#"{"entries":[{"session":0,"step":0,"disk_reads":5,"buffer_hits":2,
-            "borrows":1,"eval_us":10,"candidates":40,"estimated_reads":6}]}"#;
-        let back: CostLedger = serde_json::from_str(json).unwrap();
-        assert_eq!(back.entries[0].batches, 0);
-        assert_eq!(back.entries[0].io_wait_us, 0);
     }
 
     #[test]

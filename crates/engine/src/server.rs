@@ -187,7 +187,7 @@ impl SessionOutcome {
 /// the configured policy is a static one).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct AdaptiveStats {
-    /// Leader (or active-policy) changes the adaptive policy made.
+    /// Leader changes the adaptive policy made.
     pub switches: u64,
     /// `(expert name, shadow hits)` pairs, sorted by expert name.
     pub shadow_hits: Vec<(String, u64)>,

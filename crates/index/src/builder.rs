@@ -14,8 +14,7 @@
 //! slot but lose their inverted list and contribute nothing to `W_d`.
 
 use crate::compress::{
-    self, BulkVByteCodec, Codec, CompressionStats, GoldenCodec, ListCodec, RePairCodec,
-    RePairGrammar,
+    self, Codec, CompressionStats, GoldenCodec, ListCodec, RePairCodec, RePairGrammar,
 };
 use crate::conversion::ConversionTable;
 use crate::docstats::DocStats;
@@ -287,7 +286,6 @@ impl IndexBuilder {
         // golden encodings of the sorted lists.
         let codec: Arc<dyn ListCodec> = match options.codec {
             Codec::Golden => Arc::new(GoldenCodec),
-            Codec::BulkVByte => Arc::new(BulkVByteCodec),
             Codec::RePair => Arc::new(RePairCodec::new(RePairGrammar::train(
                 golden.iter().map(|b| b.as_ref()),
             ))),

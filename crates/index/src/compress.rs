@@ -8,12 +8,12 @@
 //! crate-root re-exports keep working unchanged.
 //!
 //! See [`ir_storage::codec`] for the format documentation: the golden
-//! RLE+v-byte scheme the paper's ≈1 byte/entry premise rests on, the
-//! bulk group-varint codec, and the Re-Pair grammar codec.
+//! RLE+v-byte scheme the paper's ≈1 byte/entry premise rests on and
+//! the Re-Pair grammar codec.
 
 pub use ir_storage::codec::{
-    decode_postings, decode_postings_into, encode_postings, measure, BulkVByteCodec, Codec,
-    CodecStats, CompressionStats, GoldenCodec, ListCodec, RePairCodec, RePairGrammar,
+    decode_postings, decode_postings_into, encode_postings, measure, Codec, CodecStats,
+    CompressionStats, GoldenCodec, ListCodec, RePairCodec, RePairGrammar,
 };
 
 #[cfg(test)]

@@ -116,10 +116,10 @@ impl InvertedIndex {
     }
 
     /// Measures every codec over this index's lists: encodes each
-    /// term's full list under the golden, bulk v-byte, and (freshly
-    /// trained) Re-Pair codecs and returns the per-codec aggregates.
-    /// The Re-Pair figure includes its serialized grammar, so the
-    /// three `compressed_bytes` are directly comparable on-disk
+    /// term's full list under the golden and (freshly trained)
+    /// Re-Pair codecs and returns the per-codec aggregates. The
+    /// Re-Pair figure includes its serialized grammar, so the two
+    /// `compressed_bytes` are directly comparable on-disk
     /// footprints. Census reads are wiped from the simulator's
     /// counters; nothing about the index changes.
     pub fn codec_census(&self) -> IrResult<CodecStats> {
@@ -142,7 +142,6 @@ impl InvertedIndex {
         for codec in Codec::ALL {
             let imp: &dyn ListCodec = match codec {
                 Codec::Golden => &crate::compress::GoldenCodec,
-                Codec::BulkVByte => &crate::compress::BulkVByteCodec,
                 Codec::RePair => &repair,
             };
             for list in &lists {

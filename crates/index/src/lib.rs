@@ -35,8 +35,8 @@ pub mod scan_geometry;
 
 pub use builder::{BuildOptions, IndexBuilder};
 pub use compress::{
-    decode_postings, decode_postings_into, encode_postings, BulkVByteCodec, Codec, CodecStats,
-    CompressionStats, GoldenCodec, ListCodec, RePairCodec, RePairGrammar,
+    decode_postings, decode_postings_into, encode_postings, Codec, CodecStats, CompressionStats,
+    GoldenCodec, ListCodec, RePairCodec, RePairGrammar,
 };
 pub use conversion::ConversionTable;
 pub use conversion_compact::CompactConversionTable;

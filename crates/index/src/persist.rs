@@ -265,8 +265,18 @@ pub fn save_index(index: &InvertedIndex, path: &Path) -> Result<(), PersistError
 /// `DiskSim`-backed run would. Like `save_index`, the export's own
 /// reads are wiped from the simulator's counters afterwards, and the
 /// write is atomic (temp file + rename).
+///
+/// Every codec encodes frequency runs, so a page file holds
+/// frequency-sorted pages only: an index built with
+/// [`ListOrdering::DocIdSorted`] is refused with
+/// [`IrError::InvalidConfig`] before anything is written.
 pub fn save_page_file(index: &InvertedIndex, path: &Path) -> Result<(), PersistError> {
     use ir_storage::{backend::TermPages, PageStore};
+    if index.params().ordering == ListOrdering::DocIdSorted {
+        return Err(PersistError::Ir(IrError::InvalidConfig(
+            "a page file holds frequency-sorted pages; this index is doc-id ordered".into(),
+        )));
+    }
     let terms = index.lexicon().iter().map(|(term, e)| {
         let pages = (0..e.n_pages)
             .map(|p| index.disk().read_page(PageId::new(term, p)))
@@ -758,6 +768,46 @@ mod tests {
         fs::write(&bad, &data).unwrap();
         let err = load_index(&bad).unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
+
+        // Byte 25 is the v2 codec id (after magic, version, n_docs,
+        // n_terms, page_size and ordering); id 1 is a retired codec.
+        let mut data = fs::read(&path).unwrap();
+        assert_eq!(data[25], compress::Codec::Golden.id());
+        data[25] = 1;
+        let n = data.len();
+        let sum = fnv1a(&data[..n - 8]);
+        data[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        fs::write(&bad, &data).unwrap();
+        match load_index(&bad) {
+            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("unknown codec id 1"), "{msg}"),
+            other => panic!("expected corrupt, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn doc_ordered_index_is_refused_by_the_page_file_export() {
+        let mut b = IndexBuilder::new();
+        b.add_document(["stock", "price", "stock"]);
+        b.add_document(["price", "stock", "stock", "stock"]);
+        let idx = b
+            .build(BuildOptions {
+                params: IndexParams {
+                    ordering: ListOrdering::DocIdSorted,
+                    ..IndexParams::with_page_size(2)
+                },
+                ..BuildOptions::default()
+            })
+            .unwrap();
+        let path = tmpfile("doc_ordered.bfpg");
+        let _ = fs::remove_file(&path);
+        match save_page_file(&idx, &path) {
+            Err(PersistError::Ir(IrError::InvalidConfig(msg))) => {
+                assert!(msg.contains("doc-id ordered"), "{msg}")
+            }
+            other => panic!("expected an ordering error, got {other:?}"),
+        }
+        assert!(!path.exists(), "nothing may be written");
+        assert!(!path.with_extension("tmp").exists(), "no temp file left");
     }
 
     #[test]

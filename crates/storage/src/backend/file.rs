@@ -958,18 +958,23 @@ mod tests {
         write_page_file(&terms, &path).unwrap();
         let original = fs::read(&path).unwrap();
 
-        // Byte 8 is the codec id; 9 is a junk id. The trailer guards
-        // the header, so patch it back up to reach the codec check.
-        let mut bad = original.clone();
-        bad[8] = 9;
+        // Byte 8 is the codec id; 1 is a retired id and 9 a junk one.
+        // The trailer guards the header, so patch it back up to reach
+        // the codec check.
         let dir_end = 17 + (12 + 24);
-        let trailer = fnv1a(&bad[..dir_end]);
-        bad[dir_end..dir_end + 8].copy_from_slice(&trailer.to_le_bytes());
-        let p = tmpfile("codec_hdr_bad_id.bfpg");
-        fs::write(&p, &bad).unwrap();
-        match FilePageStore::open(&p, FileMode::Buffered) {
-            Err(PageFileError::Corrupt(msg)) => assert!(msg.contains("unknown codec"), "{msg}"),
-            other => panic!("expected corrupt, got {other:?}"),
+        for id in [1u8, 9] {
+            let mut bad = original.clone();
+            bad[8] = id;
+            let trailer = fnv1a(&bad[..dir_end]);
+            bad[dir_end..dir_end + 8].copy_from_slice(&trailer.to_le_bytes());
+            let p = tmpfile(&format!("codec_hdr_bad_id_{id}.bfpg"));
+            fs::write(&p, &bad).unwrap();
+            match FilePageStore::open(&p, FileMode::Buffered) {
+                Err(PageFileError::Corrupt(msg)) => {
+                    assert!(msg.contains(&format!("unknown codec id {id}")), "{msg}")
+                }
+                other => panic!("id {id}: expected corrupt, got {other:?}"),
+            }
         }
 
         // A Re-Pair id whose dictionary bytes are garbage (claimed

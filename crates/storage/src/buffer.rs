@@ -206,10 +206,9 @@ impl<S: PageStore> BufferManager<S> {
             return Err(IrError::EmptyBufferPool);
         }
         let metrics = BufferMetrics::new();
-        // Adaptive policies register their `adaptive.*` counters in the
-        // pool's registry (and observe `buffer.hits` through it);
-        // classic policies ignore the offer, leaving the metric
-        // namespace untouched.
+        // The adaptive policy registers its `adaptive.*` counters in
+        // the pool's registry; classic policies ignore the offer,
+        // leaving the metric namespace untouched.
         policy.attach_metrics(metrics.registry());
         Ok(BufferManager {
             store,
@@ -784,7 +783,7 @@ impl<S: PageStore> QueryBuffer for BufferManager<S> {
             }
         }
         if !handle.loading.is_empty() {
-            handle.reads = self.store.submit(&handle.loading);
+            self.store.submit(&handle.loading);
         }
         Ok(handle)
     }

@@ -17,20 +17,14 @@
 //! one giant run of small gaps, approaching 1–1.5 bytes per entry.
 //!
 //! Around that baseline this module defines the [`ListCodec`] trait and
-//! two alternatives that trade the two sides of the paper's
-//! `d_t = max(p_t − b_t, 0)` geometry:
-//!
-//! * [`BulkVByteCodec`] — a group-varint layout (one control byte per
-//!   four values, 1–4 little-endian payload bytes each) decoded a
-//!   group at a time with unrolled lanes and no per-entry branch on
-//!   the fast path. Larger than golden (≈2.5 B/entry) but cheaper to
-//!   decode.
-//! * [`RePairCodec`] — an offline pair-replacement grammar (Re-Pair)
-//!   layered over the golden byte stream. A shared grammar is trained
-//!   once per index, persisted with the page file, and each list is
-//!   either re-encoded as fixed-width grammar symbols or stored as
-//!   golden bytes, whichever is smaller. Decode expands symbols
-//!   through precomputed phrase expansions back to golden bytes.
+//! one alternative that shrinks lists further, so more entries fit a
+//! page and the paper's `d_t = max(p_t − b_t, 0)` falls:
+//! [`RePairCodec`], an offline pair-replacement grammar (Re-Pair)
+//! layered over the golden byte stream. A shared grammar is trained
+//! once per index, persisted with the page file, and each list is
+//! either re-encoded as fixed-width grammar symbols or stored as
+//! golden bytes, whichever is smaller. Decode expands symbols through
+//! precomputed phrase expansions back to golden bytes.
 //!
 //! Every decode records on the global `ir-observe` registry: the
 //! legacy `index.pages_decoded` / `index.bytes_decompressed` counters
@@ -151,24 +145,6 @@ fn get_vbyte(buf: &mut Bytes) -> Option<u64> {
             return None;
         }
         let byte = buf.get_u8();
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 != 0 {
-            return Some(v);
-        }
-        shift += 7;
-    }
-}
-
-/// Slice-cursor variant of [`get_vbyte`] for the indexed decoders.
-fn get_vbyte_at(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        if *pos >= buf.len() || shift >= 64 {
-            return None;
-        }
-        let byte = buf[*pos];
-        *pos += 1;
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 != 0 {
             return Some(v);
@@ -299,9 +275,6 @@ pub enum Codec {
     /// output is byte-identical to the pre-trait encoder.
     #[default]
     Golden,
-    /// Group-varint with bulk group-at-a-time decode into scratch
-    /// buffers: bigger lists, cheaper decode.
-    BulkVByte,
     /// Re-Pair grammar compression over golden bytes: smaller lists,
     /// decode through phrase expansion.
     RePair,
@@ -309,13 +282,13 @@ pub enum Codec {
 
 impl Codec {
     /// Every codec, in persisted-id order.
-    pub const ALL: [Codec; 3] = [Codec::Golden, Codec::BulkVByte, Codec::RePair];
+    pub const ALL: [Codec; 2] = [Codec::Golden, Codec::RePair];
 
-    /// The id byte persisted in file headers.
+    /// The id byte persisted in file headers. Id 1 belonged to a
+    /// retired codec and is rejected as unknown.
     pub fn id(self) -> u8 {
         match self {
             Codec::Golden => 0,
-            Codec::BulkVByte => 1,
             Codec::RePair => 2,
         }
     }
@@ -329,20 +302,24 @@ impl Codec {
     pub fn name(self) -> &'static str {
         match self {
             Codec::Golden => "golden",
-            Codec::BulkVByte => "bulk-vbyte",
             Codec::RePair => "re-pair",
         }
     }
 
+    /// Position in [`Codec::ALL`], for per-codec arrays (ids are not
+    /// dense).
     fn index(self) -> usize {
-        self.id() as usize
+        match self {
+            Codec::Golden => 0,
+            Codec::RePair => 1,
+        }
     }
 
     /// Constructs the codec instance for this id from its persisted
     /// dictionary (empty for the dictionary-free codecs).
     pub fn build(self, dictionary: &[u8]) -> Result<Arc<dyn ListCodec>, String> {
         match self {
-            Codec::Golden | Codec::BulkVByte => {
+            Codec::Golden => {
                 if !dictionary.is_empty() {
                     return Err(format!(
                         "codec {} takes no dictionary, got {} bytes",
@@ -350,10 +327,7 @@ impl Codec {
                         dictionary.len()
                     ));
                 }
-                Ok(match self {
-                    Codec::Golden => Arc::new(GoldenCodec),
-                    _ => Arc::new(BulkVByteCodec),
-                })
+                Ok(Arc::new(GoldenCodec))
             }
             Codec::RePair => RePairGrammar::from_bytes(dictionary)
                 .map(|g| Arc::new(RePairCodec::new(g)) as Arc<dyn ListCodec>),
@@ -448,189 +422,6 @@ impl ListCodec for GoldenCodec {
 
     fn decode_into_raw(&self, data: Bytes, out: &mut Vec<Posting>) -> bool {
         decode_golden_raw(data, out)
-    }
-}
-
-// ---------------------------------------------------------------- bulk
-
-/// Payload byte length of a group-varint value (1–4).
-fn gv_len(v: u32) -> u8 {
-    (32 - v.leading_zeros()).div_ceil(8).max(1) as u8
-}
-
-fn zigzag(v: i32) -> u32 {
-    ((v << 1) ^ (v >> 31)) as u32
-}
-
-fn unzigzag(v: u32) -> i32 {
-    ((v >> 1) as i32) ^ -((v & 1) as i32)
-}
-
-/// Appends `values` as group-varint: one control byte per group of
-/// four (two bits per value: payload length − 1), then 1–4
-/// little-endian bytes per value. A tail group of `n % 4` values
-/// writes a control byte whose unused lanes are zero and no payload
-/// for them.
-fn put_groups(buf: &mut BytesMut, values: &[u32]) {
-    for chunk in values.chunks(4) {
-        let mut control = 0u8;
-        for (lane, &v) in chunk.iter().enumerate() {
-            control |= (gv_len(v) - 1) << (2 * lane as u8);
-        }
-        buf.put_u8(control);
-        for &v in chunk {
-            buf.put_slice(&v.to_le_bytes()[..gv_len(v) as usize]);
-        }
-    }
-}
-
-/// Lane masks by payload length − 1.
-const GV_MASKS: [u32; 4] = [0xff, 0xffff, 0x00ff_ffff, 0xffff_ffff];
-
-/// Decodes `n` group-varint values starting at `*pos`, feeding each
-/// `(index, value)` to `emit`. Full groups with ≥ 16 bytes of payload
-/// slack take the unrolled fast lane: four masked 4-byte loads, no
-/// per-value branch. The tail falls back to exact bounds-checked
-/// reads. Returns `false` on truncation.
-fn get_groups(buf: &[u8], pos: &mut usize, n: usize, mut emit: impl FnMut(usize, u32)) -> bool {
-    let mut i = 0usize;
-    while i < n {
-        if *pos >= buf.len() {
-            return false;
-        }
-        let control = buf[*pos];
-        *pos += 1;
-        let in_group = (n - i).min(4);
-        if in_group == 4 && *pos + 16 <= buf.len() {
-            let mut p = *pos;
-            let l0 = (control & 3) as usize;
-            let v0 =
-                u32::from_le_bytes([buf[p], buf[p + 1], buf[p + 2], buf[p + 3]]) & GV_MASKS[l0];
-            p += l0 + 1;
-            let l1 = ((control >> 2) & 3) as usize;
-            let v1 =
-                u32::from_le_bytes([buf[p], buf[p + 1], buf[p + 2], buf[p + 3]]) & GV_MASKS[l1];
-            p += l1 + 1;
-            let l2 = ((control >> 4) & 3) as usize;
-            let v2 =
-                u32::from_le_bytes([buf[p], buf[p + 1], buf[p + 2], buf[p + 3]]) & GV_MASKS[l2];
-            p += l2 + 1;
-            let l3 = ((control >> 6) & 3) as usize;
-            let v3 =
-                u32::from_le_bytes([buf[p], buf[p + 1], buf[p + 2], buf[p + 3]]) & GV_MASKS[l3];
-            p += l3 + 1;
-            emit(i, v0);
-            emit(i + 1, v1);
-            emit(i + 2, v2);
-            emit(i + 3, v3);
-            *pos = p;
-            i += 4;
-        } else {
-            for lane in 0..in_group {
-                let len = ((control >> (2 * lane)) & 3) as usize + 1;
-                if *pos + len > buf.len() {
-                    return false;
-                }
-                let mut v = 0u32;
-                for (b, &byte) in buf[*pos..*pos + len].iter().enumerate() {
-                    v |= u32::from(byte) << (8 * b);
-                }
-                emit(i + lane, v);
-                *pos += len;
-            }
-            i += in_group;
-        }
-    }
-    true
-}
-
-/// Group-varint codec: `vbyte(n)`, then the `n` document ids (first
-/// absolute, then zigzag deltas — the frequency sort makes ids
-/// sawtooth across run boundaries), then the `n` frequencies (first
-/// absolute, then unsigned drops). Roughly 2.5× the golden size, but
-/// decode is a straight-line group loop instead of a per-byte varint
-/// branch.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BulkVByteCodec;
-
-impl ListCodec for BulkVByteCodec {
-    fn id(&self) -> Codec {
-        Codec::BulkVByte
-    }
-
-    fn encode(&self, postings: &[Posting]) -> Bytes {
-        assert!(
-            is_frequency_sorted(postings),
-            "encode requires frequency-sorted input"
-        );
-        let n = postings.len();
-        let mut buf = BytesMut::with_capacity(8 + n * 3);
-        put_vbyte(&mut buf, n as u64);
-        let mut values = Vec::with_capacity(n);
-        let mut prev = 0u32;
-        for (k, p) in postings.iter().enumerate() {
-            values.push(if k == 0 {
-                p.doc.0
-            } else {
-                zigzag(p.doc.0.wrapping_sub(prev) as i32)
-            });
-            prev = p.doc.0;
-        }
-        put_groups(&mut buf, &values);
-        values.clear();
-        let mut prev = 0u32;
-        for (k, p) in postings.iter().enumerate() {
-            values.push(if k == 0 { p.freq } else { prev - p.freq });
-            prev = p.freq;
-        }
-        put_groups(&mut buf, &values);
-        buf.freeze()
-    }
-
-    fn decode_into_raw(&self, data: Bytes, out: &mut Vec<Posting>) -> bool {
-        out.clear();
-        let buf: &[u8] = &data;
-        let mut pos = 0usize;
-        let Some(n) = get_vbyte_at(buf, &mut pos).map(|v| v as usize) else {
-            return false;
-        };
-        // Guard against hostile counts: 2n values cost ≥ 2n payload
-        // bytes plus control bytes.
-        if n > buf.len().saturating_sub(pos) / 2 + 4 {
-            return false;
-        }
-        out.reserve(n);
-        let mut prev_doc = 0u32;
-        if !get_groups(buf, &mut pos, n, |k, v| {
-            let doc = if k == 0 {
-                v
-            } else {
-                prev_doc.wrapping_add(unzigzag(v) as u32)
-            };
-            prev_doc = doc;
-            out.push(Posting {
-                doc: DocId(doc),
-                freq: 0,
-            });
-        }) {
-            return false;
-        }
-        let mut prev_freq = 0u32;
-        let mut valid = true;
-        let ok = get_groups(buf, &mut pos, n, |k, v| {
-            let f = if k == 0 {
-                v
-            } else {
-                prev_freq.checked_sub(v).unwrap_or_else(|| {
-                    valid = false;
-                    0
-                })
-            };
-            valid &= f != 0;
-            prev_freq = f;
-            out[k].freq = f;
-        });
-        ok && valid
     }
 }
 
@@ -1042,7 +833,6 @@ mod tests {
         let lists = random_lists(11, 40);
         vec![
             Arc::new(GoldenCodec),
-            Arc::new(BulkVByteCodec),
             Arc::new(RePairCodec::train(lists.iter().map(|l| l.as_slice()))),
         ]
     }
@@ -1160,28 +950,6 @@ mod tests {
     }
 
     #[test]
-    fn bulk_handles_sawtooth_doc_ids() {
-        // Across run boundaries doc ids drop back down: deltas go
-        // negative and must zigzag cleanly.
-        let p = postings(&[(9_000, 7), (1, 3), (8_999, 3), (0, 1), (2, 1), (9_001, 1)]);
-        let codec = BulkVByteCodec;
-        assert_eq!(codec.decode(codec.encode(&p)).unwrap(), p);
-    }
-
-    #[test]
-    fn bulk_is_larger_but_still_bounded() {
-        let p: Vec<Posting> = (0..10_000).map(|d| Posting::new(d, 1)).collect();
-        let stats = ListCodec::measure(&BulkVByteCodec, &p);
-        let golden = measure(&p);
-        assert!(stats.compressed_bytes > golden.compressed_bytes);
-        assert!(
-            stats.bytes_per_entry() < 3.0,
-            "got {} bytes/entry",
-            stats.bytes_per_entry()
-        );
-    }
-
-    #[test]
     fn repair_beats_golden_on_repetitive_lists() {
         // Dense f=1 lists golden-encode to long runs of identical gap
         // bytes — exactly what pair replacement collapses.
@@ -1254,6 +1022,7 @@ mod tests {
                 .unwrap();
             assert_eq!(built.id(), codec);
         }
+        assert_eq!(Codec::from_id(1), None, "retired id stays unknown");
         assert_eq!(Codec::from_id(9), None);
         assert!(Codec::Golden.build(&[1]).is_err(), "golden takes no dict");
         assert!(Codec::RePair.build(&[0xff]).is_err(), "garbage dict");
@@ -1264,11 +1033,13 @@ mod tests {
         let mut stats = CodecStats::default();
         let p = postings(&[(0, 2), (1, 1)]);
         stats.add(Codec::Golden, measure(&p));
-        stats.add(Codec::BulkVByte, ListCodec::measure(&BulkVByteCodec, &p));
         assert_eq!(stats.get(Codec::Golden).n_postings, 2);
-        assert_eq!(stats.get(Codec::BulkVByte).n_postings, 2);
         assert_eq!(stats.get(Codec::RePair).n_postings, 0);
-        assert_eq!(stats.iter().count(), 3);
+        // Re-Pair's id is 2 but its slot is 1: slots follow `ALL`.
+        stats.add(Codec::RePair, measure(&postings(&[(5, 3)])));
+        assert_eq!(stats.get(Codec::RePair).n_postings, 1);
+        assert_eq!(stats.get(Codec::Golden).n_postings, 2);
+        assert_eq!(stats.iter().count(), 2);
     }
 
     #[test]

@@ -46,8 +46,7 @@ pub use backend::{
 };
 pub use buffer::{Backoff, BufferManager, FetchOutcome, FetchPolicy};
 pub use codec::{
-    BulkVByteCodec, Codec, CodecStats, CompressionStats, GoldenCodec, ListCodec, RePairCodec,
-    RePairGrammar,
+    Codec, CodecStats, CompressionStats, GoldenCodec, ListCodec, RePairCodec, RePairGrammar,
 };
 pub use disk::{DiskSim, DiskStats, PageStore};
 pub use fault::{FaultConfig, FaultStats, FaultStore};

@@ -1,27 +1,19 @@
-//! Adaptive replacement: an expert-mixture policy and a cheap
-//! hit-rate-driven variant (EEvA-style, after arXiv:2405.00154).
+//! Adaptive replacement: an expert-mixture policy (EEvA-style, after
+//! arXiv:2405.00154).
 //!
 //! The paper's central observation is that no single replacement policy
 //! wins across IR workloads: RAP wins on feedback-refinement streams,
-//! LRU wins on recency-dominated ones, MRU on repeated scans. Both
-//! policies here recover the per-workload winner online, without being
-//! told which workload is running:
+//! LRU wins on recency-dominated ones, MRU on repeated scans.
+//! [`ExpertMixturePolicy`] recovers the per-workload winner online,
+//! without being told which workload is running. It runs a panel of
+//! existing experts against the live reference stream. Every expert
+//! keeps a *real* instance (tracking the pool's actual resident set, so
+//! leadership can change without replay) and a *shadow* simulation
+//! (what the pool would hold if that expert ran it alone, scored by
+//! would-have-hit counts). The current leader — the expert with the
+//! best decayed shadow score — chooses victims.
 //!
-//! * [`ExpertMixturePolicy`] runs a panel of existing experts against
-//!   the live reference stream. Every expert keeps a *real* instance
-//!   (tracking the pool's actual resident set, so leadership can change
-//!   without replay) and a *shadow* simulation (what the pool would
-//!   hold if that expert ran it alone, scored by would-have-hit
-//!   counts). The current leader — the expert with the best decayed
-//!   shadow score — chooses victims.
-//! * [`HitRateAdaptivePolicy`] keeps exactly one active policy and
-//!   switches it at window boundaries when the observed hit count (the
-//!   pool's `buffer.hits` counter when attached) falls measurably below
-//!   the best shadow expert's. Cheaper per event than the mixture — one
-//!   real instance instead of a panel — at the price of a replay of the
-//!   resident set on each switch.
-//!
-//! Both are driven entirely through the ordinary [`ReplacementPolicy`]
+//! It is driven entirely through the ordinary [`ReplacementPolicy`]
 //! events: a pool's `on_hit` + `on_insert` calls *are* the full
 //! reference stream (hit → `on_hit`, miss → `on_insert`), so shadow
 //! simulation needs no extra plumbing, and the decision stream is a
@@ -47,10 +39,6 @@ pub const DEFAULT_PANEL: [PolicyKind; 6] = [
     PolicyKind::Clock,
 ];
 
-/// Default candidate set for [`HitRateAdaptivePolicy`]: the paper's
-/// three policies, which already span the per-workload winners.
-pub const DEFAULT_CANDIDATES: [PolicyKind; 3] = [PolicyKind::Lru, PolicyKind::Mru, PolicyKind::Rap];
-
 /// Shadow simulation of one expert running the whole pool alone: its
 /// own policy instance plus the resident set it *would* have, bounded
 /// by the real pool's capacity. A reference that lands in the shadow
@@ -63,8 +51,6 @@ struct Shadow {
     capacity: usize,
     /// Decayed long-run score (halved every decay window).
     score: u64,
-    /// Hits in the current adaptation window only.
-    window_hits: u64,
     /// Cumulative would-have-hits, exported as
     /// `adaptive.shadow_hits.<NAME>` once attached to a registry.
     hits_counter: Counter,
@@ -78,7 +64,6 @@ impl Shadow {
             resident: HashSet::new(),
             capacity: capacity.max(1),
             score: 0,
-            window_hits: 0,
             hits_counter: Counter::new(),
         }
     }
@@ -90,7 +75,6 @@ impl Shadow {
         if self.resident.contains(&id) {
             self.policy.on_hit(page);
             self.score += 1;
-            self.window_hits += 1;
             self.hits_counter.inc();
             true
         } else {
@@ -115,7 +99,6 @@ impl Shadow {
         self.policy.clear();
         self.resident.clear();
         self.score = 0;
-        self.window_hits = 0;
     }
 }
 
@@ -294,223 +277,6 @@ impl ReplacementPolicy for ExpertMixturePolicy {
     }
 }
 
-/// A hit-rate-adaptive policy: one active policy, switched at window
-/// boundaries when the observed hit count falls measurably below the
-/// best shadow expert's. On a switch the new policy is rebuilt by
-/// replaying the resident set in `PageId` order — deterministic, and
-/// only as expensive as one pass over the pool.
-#[derive(Debug)]
-pub struct HitRateAdaptivePolicy {
-    kinds: Vec<PolicyKind>,
-    active: usize,
-    policy: Box<dyn ReplacementPolicy>,
-    shadows: Vec<Shadow>,
-    /// The real resident set (pages are cheap `Arc`-backed clones),
-    /// kept so a switch can rebuild the new active policy.
-    resident: HashMap<PageId, Page>,
-    capacity: usize,
-    window: u64,
-    events_in_window: u64,
-    /// Hits this window as seen through policy events — the fallback
-    /// observation when no metrics registry is attached.
-    real_hits: u64,
-    /// The pool's own `buffer.hits` counter once attached: the
-    /// "observed hit rate from `BufferMetrics`" the switch rule reads.
-    observed_hits: Option<Counter>,
-    observed_base: u64,
-    /// Last announced query weights, replayed into a freshly built
-    /// context-using policy after a switch.
-    last_weights: Option<HashMap<TermId, f64>>,
-    uses_context: bool,
-    switches: Counter,
-    leader_gauge: Gauge,
-}
-
-impl HitRateAdaptivePolicy {
-    /// An adaptive policy over [`DEFAULT_CANDIDATES`].
-    pub fn new(capacity: usize) -> HitRateAdaptivePolicy {
-        HitRateAdaptivePolicy::with_candidates(&DEFAULT_CANDIDATES, capacity)
-    }
-
-    /// An adaptive policy over an explicit candidate set (the first
-    /// entry starts active). Panics on an empty set.
-    pub fn with_candidates(candidates: &[PolicyKind], capacity: usize) -> HitRateAdaptivePolicy {
-        assert!(!candidates.is_empty(), "candidate set must not be empty");
-        let shadows: Vec<Shadow> = candidates
-            .iter()
-            .map(|&k| Shadow::new(k, capacity))
-            .collect();
-        let uses_context = shadows.iter().any(|s| s.policy.uses_query_context());
-        HitRateAdaptivePolicy {
-            kinds: candidates.to_vec(),
-            active: 0,
-            policy: candidates[0].build(capacity),
-            shadows,
-            resident: HashMap::new(),
-            capacity,
-            window: decay_window(capacity),
-            events_in_window: 0,
-            real_hits: 0,
-            observed_hits: None,
-            observed_base: 0,
-            last_weights: None,
-            uses_context,
-            switches: Counter::new(),
-            leader_gauge: Gauge::new(),
-        }
-    }
-
-    /// The currently active policy kind.
-    pub fn active(&self) -> PolicyKind {
-        self.kinds[self.active]
-    }
-
-    /// Policy switches so far (also exported as `adaptive.switches`).
-    pub fn switches(&self) -> u64 {
-        self.switches.get()
-    }
-
-    /// Hits observed this window: the pool's `buffer.hits` counter when
-    /// attached (saturating across harness counter resets), else the
-    /// policy-event count.
-    fn observed_window_hits(&self) -> u64 {
-        match &self.observed_hits {
-            Some(c) => c.get().saturating_sub(self.observed_base),
-            None => self.real_hits,
-        }
-    }
-
-    fn rebase_observation(&mut self) {
-        self.observed_base = self.observed_hits.as_ref().map_or(0, Counter::get);
-        self.real_hits = 0;
-    }
-
-    fn tick_window(&mut self) {
-        self.events_in_window += 1;
-        if self.events_in_window < self.window {
-            return;
-        }
-        self.events_in_window = 0;
-        let mut best = 0;
-        for (i, s) in self.shadows.iter().enumerate() {
-            if s.window_hits > self.shadows[best].window_hits {
-                best = i;
-            }
-        }
-        // Hysteresis: a challenger must beat the observed hits by a
-        // margin proportional to the window, so measurement jitter
-        // can't cause flapping.
-        let margin = (self.window / 32).max(1);
-        if best != self.active
-            && self.shadows[best].window_hits > self.observed_window_hits() + margin
-        {
-            self.switch_to(best);
-        }
-        for s in &mut self.shadows {
-            s.window_hits = 0;
-        }
-        self.rebase_observation();
-    }
-
-    fn switch_to(&mut self, next: usize) {
-        self.active = next;
-        self.policy = self.kinds[next].build(self.capacity);
-        // Replay residents in PageId order: deterministic regardless of
-        // HashMap iteration order.
-        let mut pages: Vec<&Page> = self.resident.values().collect();
-        pages.sort_by_key(|p| p.id());
-        for page in pages {
-            self.policy.on_insert(page);
-        }
-        if self.policy.uses_query_context() {
-            if let Some(w) = &self.last_weights {
-                self.policy.begin_query(w);
-            }
-        }
-        self.switches.inc();
-        self.leader_gauge.set(next as i64);
-    }
-
-    fn feed(&mut self, page: &Page, value_hint: Option<f64>) {
-        for s in &mut self.shadows {
-            s.reference(page, value_hint);
-        }
-        self.tick_window();
-    }
-}
-
-impl ReplacementPolicy for HitRateAdaptivePolicy {
-    fn name(&self) -> &'static str {
-        "HIT-ADAPT"
-    }
-
-    fn on_insert(&mut self, page: &Page) {
-        let _ = self.on_insert_hinted(page, None);
-    }
-
-    fn on_hit(&mut self, page: &Page) {
-        self.real_hits += 1;
-        self.policy.on_hit(page);
-        self.feed(page, None);
-    }
-
-    fn choose_victim(&mut self, exclude: &dyn Fn(PageId) -> bool) -> Option<PageId> {
-        let victim = self.policy.choose_victim(exclude)?;
-        self.resident.remove(&victim);
-        Some(victim)
-    }
-
-    fn remove(&mut self, id: PageId) {
-        self.policy.remove(id);
-        self.resident.remove(&id);
-    }
-
-    fn clear(&mut self) {
-        self.policy.clear();
-        self.resident.clear();
-        for s in &mut self.shadows {
-            s.clear();
-        }
-        self.events_in_window = 0;
-        self.last_weights = None;
-        self.rebase_observation();
-    }
-
-    fn begin_query(&mut self, weights: &HashMap<TermId, f64>) {
-        if self.uses_context {
-            self.last_weights = Some(weights.clone());
-        }
-        if self.policy.uses_query_context() {
-            self.policy.begin_query(weights);
-        }
-        for s in &mut self.shadows {
-            s.begin_query(weights);
-        }
-    }
-
-    fn uses_query_context(&self) -> bool {
-        self.uses_context
-    }
-
-    fn on_insert_hinted(&mut self, page: &Page, value_hint: Option<f64>) -> Option<f64> {
-        self.resident.insert(page.id(), page.clone());
-        let assigned = self.policy.on_insert_hinted(page, value_hint);
-        self.feed(page, value_hint);
-        assigned
-    }
-
-    fn attach_metrics(&mut self, registry: &Registry) {
-        self.switches = registry.counter("adaptive.switches");
-        self.leader_gauge = registry.gauge("adaptive.leader");
-        self.leader_gauge.set(self.active as i64);
-        for s in &mut self.shadows {
-            s.hits_counter = registry.counter(&format!("adaptive.shadow_hits.{}", s.kind));
-        }
-        self.observed_hits = Some(registry.counter("buffer.hits"));
-        self.rebase_observation();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::testutil::page;
@@ -585,43 +351,6 @@ mod tests {
         }
         assert_eq!(mix.leader(), PolicyKind::Mru);
         assert!(mix.switches() >= 1);
-    }
-
-    /// The same flood through the hit-rate variant: the active policy
-    /// must switch away from LRU once the window shows MRU's shadow
-    /// out-hitting the real pool.
-    #[test]
-    fn hit_rate_variant_switches_away_from_lru() {
-        let capacity = 8;
-        let mut pol =
-            HitRateAdaptivePolicy::with_candidates(&[PolicyKind::Lru, PolicyKind::Mru], capacity);
-        let loop_pages: Vec<Page> = (0..capacity as u32 + 1)
-            .map(|p| page(0, p, 1, 1.0))
-            .collect();
-        let mut resident: Vec<PageId> = Vec::new();
-        for _ in 0..200 {
-            for pg in &loop_pages {
-                if resident.contains(&pg.id()) {
-                    pol.on_hit(pg);
-                } else {
-                    if resident.len() >= capacity {
-                        let v = pol.choose_victim(&|_| false).expect("pool is full");
-                        resident.retain(|&id| id != v);
-                    }
-                    pol.on_insert(pg);
-                    resident.push(pg.id());
-                }
-            }
-        }
-        assert_eq!(pol.active(), PolicyKind::Mru);
-        assert!(pol.switches() >= 1);
-        // The policy only tracks what is resident: every victim it
-        // returned was removed from its books.
-        let mut seen = HashSet::new();
-        while let Some(v) = pol.choose_victim(&|_| false) {
-            assert!(seen.insert(v), "victim {v:?} returned twice");
-        }
-        assert_eq!(seen.len(), resident.len());
     }
 
     /// Shadow pools respect the real capacity: the ghost resident set

@@ -23,7 +23,7 @@ mod rap;
 mod tick;
 mod two_q;
 
-pub use adaptive::{ExpertMixturePolicy, HitRateAdaptivePolicy, DEFAULT_CANDIDATES, DEFAULT_PANEL};
+pub use adaptive::{ExpertMixturePolicy, DEFAULT_PANEL};
 pub use clock::Clock;
 pub use fifo::Fifo;
 pub use lru::Lru;
@@ -114,8 +114,7 @@ pub trait ReplacementPolicy: fmt::Debug + Send {
     /// the pool registers its own counters there. The default is a
     /// no-op — classic policies export nothing, so non-adaptive pools
     /// keep their metric namespace byte-identical. The adaptive
-    /// policies register `adaptive.*` counters and read the pool's
-    /// `buffer.hits` through it.
+    /// policy registers its `adaptive.*` counters there.
     fn attach_metrics(&mut self, registry: &Registry) {
         let _ = registry;
     }
@@ -141,8 +140,6 @@ pub enum PolicyKind {
     Clock,
     /// Expert-mixture adaptive policy (EEvA-style shadow voting).
     Adaptive,
-    /// Hit-rate-driven adaptive policy (single active expert).
-    HitAdaptive,
 }
 
 impl PolicyKind {
@@ -160,12 +157,12 @@ impl PolicyKind {
     /// The three policies evaluated in the paper's figures.
     pub const PAPER: [PolicyKind; 3] = [PolicyKind::Lru, PolicyKind::Mru, PolicyKind::Rap];
 
-    /// The adaptive policies. Deliberately *not* part of [`ALL`]
-    /// (Self::ALL): experiment harnesses index `ALL` positionally and
-    /// golden CSVs enumerate it, so the adaptive rows are opt-in
-    /// everywhere (`--adaptive`, the chaos matrix's extra rows, the
-    /// `bench adaptive` harness).
-    pub const ADAPTIVE: [PolicyKind; 2] = [PolicyKind::Adaptive, PolicyKind::HitAdaptive];
+    /// The adaptive policy, as a set harnesses chain after [`ALL`]
+    /// (Self::ALL). Deliberately *not* part of `ALL`: experiment
+    /// harnesses index `ALL` positionally and golden CSVs enumerate
+    /// it, so the adaptive row is opt-in (the chaos matrix's extra
+    /// rows, the `bench adaptive` harness).
+    pub const ADAPTIVE: [PolicyKind; 1] = [PolicyKind::Adaptive];
 
     /// Instantiates the policy. `capacity` is the buffer-pool size in
     /// pages (2Q sizes its queues from it).
@@ -179,7 +176,6 @@ impl PolicyKind {
             PolicyKind::Fifo => Box::new(Fifo::new()),
             PolicyKind::Clock => Box::new(Clock::new()),
             PolicyKind::Adaptive => Box::new(ExpertMixturePolicy::new(capacity)),
-            PolicyKind::HitAdaptive => Box::new(HitRateAdaptivePolicy::new(capacity)),
         }
     }
 }
@@ -195,7 +191,6 @@ impl fmt::Display for PolicyKind {
             PolicyKind::Fifo => "FIFO",
             PolicyKind::Clock => "CLOCK",
             PolicyKind::Adaptive => "ADAPTIVE",
-            PolicyKind::HitAdaptive => "HIT-ADAPT",
         };
         f.write_str(s)
     }
@@ -214,9 +209,6 @@ impl FromStr for PolicyKind {
             "fifo" => Ok(PolicyKind::Fifo),
             "clock" => Ok(PolicyKind::Clock),
             "adaptive" | "mixture" | "eeva" => Ok(PolicyKind::Adaptive),
-            "hit-adapt" | "hitadapt" | "hit-adaptive" | "hitadaptive" => {
-                Ok(PolicyKind::HitAdaptive)
-            }
             other => Err(format!("unknown policy {other:?}")),
         }
     }
@@ -283,6 +275,7 @@ mod tests {
             assert_eq!(parsed, kind);
         }
         assert!("nonsense".parse::<PolicyKind>().is_err());
+        assert!("hit-adapt".parse::<PolicyKind>().is_err(), "retired policy");
     }
 
     #[test]

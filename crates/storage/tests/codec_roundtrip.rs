@@ -8,7 +8,7 @@
 //! * arbitrary hostile bytes never panic the decoder.
 
 use bytes::Bytes;
-use ir_storage::{BulkVByteCodec, GoldenCodec, ListCodec, RePairCodec};
+use ir_storage::{GoldenCodec, ListCodec, RePairCodec};
 use ir_types::{frequency_order, Posting};
 use proptest::{collection, proptest, ProptestConfig};
 
@@ -31,11 +31,7 @@ fn list_from(pairs: &[(u32, u32)]) -> Vec<Posting> {
 /// Every codec under test; Re-Pair is trained on the list itself, as
 /// the builder trains on the collection it encodes.
 fn codecs(list: &[Posting]) -> Vec<Box<dyn ListCodec>> {
-    vec![
-        Box::new(GoldenCodec),
-        Box::new(BulkVByteCodec),
-        Box::new(RePairCodec::train([list])),
-    ]
+    vec![Box::new(GoldenCodec), Box::new(RePairCodec::train([list]))]
 }
 
 proptest! {

@@ -48,9 +48,8 @@ pub struct ReadHandle {
 /// The handle owns everything the completing side needs to finish the
 /// batch and undo the submission's bookkeeping: the plan itself, the
 /// pages the pool pinned at submission (so in-flight pages cannot be
-/// chosen as replacement victims), the pages it counted as in-flight
-/// toward `b_t`, and the per-read [`ReadHandle`]s a latency-modeling
-/// store returned for the transfers it actually scheduled.
+/// chosen as replacement victims), and the pages it counted as
+/// in-flight toward `b_t`.
 ///
 /// Deliberately neither `Copy` nor `Clone`: a submission is completed
 /// (or cancelled) exactly once, and moving the handle into `complete`
@@ -69,10 +68,6 @@ pub struct BatchHandle {
     /// therefore counted as in-flight toward their term's `b_t` until
     /// completion.
     pub loading: Vec<PageId>,
-    /// Handles for the reads the store actually scheduled (empty for
-    /// synchronous stores and at queue depth ≤ 1, where submission
-    /// starts nothing).
-    pub reads: Vec<ReadHandle>,
 }
 
 impl BatchHandle {
@@ -84,12 +79,6 @@ impl BatchHandle {
             plan,
             ..BatchHandle::default()
         }
-    }
-
-    /// The modeled instant the last scheduled read completes, if any
-    /// read was scheduled at all.
-    pub fn ready_at_us(&self) -> Option<u64> {
-        self.reads.iter().map(|r| r.ready_at_us).max()
     }
 
     /// Number of planned reads (counting duplicates).
@@ -155,19 +144,5 @@ mod tests {
         assert_eq!(h.len(), 3);
         assert!(!h.is_empty());
         assert!(h.pinned.is_empty() && h.loading.is_empty());
-        assert_eq!(h.ready_at_us(), None, "nothing was scheduled");
-    }
-
-    #[test]
-    fn ready_at_is_the_last_scheduled_completion() {
-        let mut h = BatchHandle::unscheduled(ReadPlan::single(PageId::new(TermId(0), 0)));
-        for (i, at) in [(0u64, 120u64), (1, 90)] {
-            h.reads.push(ReadHandle {
-                token: CompletionToken(i),
-                page: PageId::new(TermId(0), i as u32),
-                ready_at_us: at,
-            });
-        }
-        assert_eq!(h.ready_at_us(), Some(120));
     }
 }
